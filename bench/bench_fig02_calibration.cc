@@ -6,8 +6,8 @@
 #include "bench_common.h"
 
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace {
 
@@ -37,14 +37,16 @@ BarResult run_one(const quic::QuicConfig& config, bool gae_wait,
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort,
                                   config, tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 10 * 1024 * 1024});
+  const workload::ScenarioSpec image =
+      workload::page_spec({1, 10 * 1024 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session, image);
   loader.start();
   tb.run_until([&] { return loader.finished(); }, seconds(300));
   BarResult out;
   if (!loader.finished()) return out;
-  const auto& obj = loader.result().objects[0];
+  const auto& obj = loader.result().detail[0];
   out.wait_s = to_seconds(obj.first_byte - loader.result().started);
-  out.download_s = to_seconds(obj.complete - obj.first_byte);
+  out.download_s = to_seconds(obj.completed - obj.first_byte);
   return out;
 }
 

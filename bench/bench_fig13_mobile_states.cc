@@ -6,6 +6,7 @@
 #include "bench_common.h"
 
 #include "smi/inference.h"
+#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -13,6 +14,8 @@ using namespace longlook::harness;
 
 smi::StateMachineInference infer_for_device(const DeviceProfile& dev) {
   smi::StateMachineInference inf;
+  const workload::ScenarioSpec page =
+      workload::page_spec({1, 20 * 1024 * 1024});
   for (int r = 0; r < longlook::bench::rounds(); ++r) {
     Scenario s;
     s.rate_bps = 50'000'000;
@@ -24,7 +27,7 @@ smi::StateMachineInference infer_for_device(const DeviceProfile& dev) {
     http::QuicClientSession session(tb.sim(), tb.client_host(),
                                     tb.server_host().address(), kQuicPort, {},
                                     tokens);
-    http::PageLoader loader(tb.sim(), session, {1, 20 * 1024 * 1024});
+    workload::ScenarioRunner loader(tb.sim(), session, page);
     loader.start();
     tb.run_until([&] { return loader.finished(); }, seconds(120));
     if (auto* conn = server.server().latest_connection()) {

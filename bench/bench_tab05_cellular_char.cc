@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -34,7 +35,9 @@ Measured measure(const CellularProfile& profile) {
                                   tokens);
   const std::size_t bytes = static_cast<std::size_t>(
       profile.throughput_mbps * 1e6 / 8 * 20);  // ~20 s of transfer
-  http::PageLoader loader(tb.sim(), session, {1, std::max<std::size_t>(bytes, 64 * 1024)});
+  const workload::ScenarioSpec page =
+      workload::page_spec({1, std::max<std::size_t>(bytes, 64 * 1024)});
+  workload::ScenarioRunner loader(tb.sim(), session, page);
   std::vector<double> rtt_samples_ms;
   loader.start();
   // Sample the server's latest RTT once per second.
@@ -53,7 +56,7 @@ Measured measure(const CellularProfile& profile) {
                                 loader.result().started);
   if (dur > 0) {
     out.throughput_mbps =
-        static_cast<double>(loader.result().objects[0].bytes_received) * 8 /
+        static_cast<double>(loader.result().detail[0].download_bytes) * 8 /
         dur / 1e6;
   }
   const auto rtt_summary = stats::summarize(rtt_samples_ms);

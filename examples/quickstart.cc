@@ -7,8 +7,8 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 using namespace longlook;
 
@@ -35,7 +35,8 @@ int main() {
                                   tb.server_host().address(),
                                   harness::kQuicPort, quic::QuicConfig{},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {10, 100 * 1024});
+  const workload::ScenarioSpec spec = workload::page_spec({10, 100 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session, spec);
   loader.start();
 
   // 4. Run the virtual clock until the page completes.
@@ -45,13 +46,15 @@ int main() {
   }
 
   // 5. Inspect the results: PLT, per-object timings, transport internals.
-  const http::PageLoadResult& page = loader.result();
+  const workload::ScenarioResult& page = loader.result();
   std::printf("Page load time: %.3f s (%zu objects)\n",
-              to_seconds(page.plt), page.objects.size());
-  for (const auto& obj : page.objects) {
+              to_seconds(page.duration), page.detail.size());
+  for (const auto& obj : page.detail) {
     std::printf("  obj%-3zu first-byte %.3fs  complete %.3fs  (%zu bytes)\n",
-                obj.index, to_seconds(obj.first_byte - page.started),
-                to_seconds(obj.complete - page.started), obj.bytes_received);
+                static_cast<std::size_t>(obj.object_index),
+                to_seconds(obj.first_byte - page.started),
+                to_seconds(obj.completed - page.started),
+                static_cast<std::size_t>(obj.download_bytes));
   }
 
   const quic::QuicConnection& client = session.connection();

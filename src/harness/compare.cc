@@ -1,39 +1,23 @@
 #include "harness/compare.h"
 
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "harness/compare_detail.h"
+#include "harness/perf.h"
 #include "net/trace.h"
 #include "obs/flight_recorder.h"
-#include "obs/sampler.h"
 #include "sim/timer.h"
 #include "util/check.h"
-#include "util/logging.h"
+#include "workload/executor.h"
 
 namespace longlook::harness {
-
-namespace {
-
-void emit_run_start(obs::TraceSink* sink, const char* proto,
-                    const Scenario& scenario, const Workload& workload,
-                    TimePoint now) {
-  if (sink == nullptr) return;
-  // "v" is the trace schema version (docs/trace_schema.md); v2 added the
-  // run:hist record type, v3 the ts:/flight: families.
-  sink->record(obs::TraceEvent("run:start", now)
-                   .u("v", 3)
-                   .s("proto", proto)
-                   .s("scenario", scenario.name)
-                   .u("seed", scenario.seed)
-                   .u("objects", workload.object_count)
-                   .u("object_bytes", workload.object_bytes));
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -47,40 +31,6 @@ void emit_run_summary(obs::TraceSink* sink, bool done, Duration plt,
     ev.b("timed_out", true);
   }
   sink->record(ev);
-}
-
-void fold_link_metrics(obs::MetricsRegistry& m, const std::string& p,
-                       Testbed& tb) {
-  const LinkStats& up = tb.uplink().stats();
-  const LinkStats& down = tb.downlink().stats();
-  m.incr(p + "link_drops_queue", up.dropped_queue + down.dropped_queue);
-  m.incr(p + "link_drops_random", up.dropped_random + down.dropped_random);
-  m.incr(p + "link_reordered",
-         up.delivered_out_of_order + down.delivered_out_of_order);
-}
-
-void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb) {
-  if (prof == nullptr) return;
-  prof->add("runs", 1);
-  prof->add("sim_events", tb.sim().dispatched_events());
-  prof->add("timer_ops", tb.sim().timer_ops());
-  const LinkStats& up = tb.uplink().stats();
-  const LinkStats& down = tb.downlink().stats();
-  prof->add("packets_forwarded", up.delivered + down.delivered);
-  prof->add("bytes_moved", up.bytes_delivered + down.bytes_delivered);
-  // Allocation telemetry for the pooled sim core. Both counts depend only
-  // on the simulated workload (per-Simulator pool high-water mark and
-  // oversized-callback count), so they are deterministic and safe to gate
-  // with hard floors in CI (tools/bench_report.py perf-floor).
-  prof->add("sim_event_pool_slots", tb.sim().event_pool_slots());
-  prof->add("sim_callback_heap", tb.sim().callback_heap_allocs());
-}
-
-bool sampling_enabled(const CompareOptions& opts) {
-  if (opts.sample_state) return true;
-  const char* env = std::getenv("LL_SAMPLE");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
 }
 
 void register_testbed_probes(obs::StateSampler& sampler, Testbed& tb) {
@@ -106,6 +56,72 @@ void register_testbed_probes(obs::StateSampler& sampler, Testbed& tb) {
   });
 }
 
+}  // namespace detail
+
+namespace {
+
+// What a run records, the one difference between the page and scenario
+// entry points. A page run's run:start names the page's object count and
+// per-object size. A scenario run's names the spec's totals (objects =
+// transactions, object_bytes = bytes downloaded) plus the DSL string, so
+// the trace is self-describing, and the run folds scn_* totals.
+enum class RunForm { kPage, kScenario };
+
+void emit_run_start(obs::TraceSink& sink, const char* proto,
+                    const Scenario& scenario,
+                    const workload::ScenarioSpec& spec, RunForm form,
+                    TimePoint now) {
+  // "v" is the trace schema version (docs/trace_schema.md); v2 added the
+  // run:hist record type, v3 the ts:/flight: families.
+  obs::TraceEvent ev("run:start", now);
+  ev.u("v", 3)
+      .s("proto", proto)
+      .s("scenario", scenario.name)
+      .u("seed", scenario.seed);
+  if (form == RunForm::kPage) {
+    const workload::PageGraph& page = *spec.streams.front().page;
+    sink.record(ev.u("objects", page.object_count)
+                    .u("object_bytes", page.object_bytes));
+    return;
+  }
+  const std::string dsl = spec.format();  // outlives the recorded view
+  sink.record(ev.u("objects", spec.total_transactions())
+                  .u("object_bytes", spec.total_download_bytes())
+                  .s("perf_scenario", dsl));
+}
+
+// Folds the run's simulator/link work volume into the profiler shard. The
+// values themselves are deterministic (virtual-time bookkeeping); only the
+// wall-time histograms alongside them vary run to run.
+void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb) {
+  if (prof == nullptr) return;
+  prof->add("runs", 1);
+  prof->add("sim_events", tb.sim().dispatched_events());
+  prof->add("timer_ops", tb.sim().timer_ops());
+  const LinkStats& up = tb.uplink().stats();
+  const LinkStats& down = tb.downlink().stats();
+  prof->add("packets_forwarded", up.delivered + down.delivered);
+  prof->add("bytes_moved", up.bytes_delivered + down.bytes_delivered);
+  // Allocation telemetry for the pooled sim core. Both counts depend only
+  // on the simulated workload (per-Simulator pool high-water mark and
+  // oversized-callback count), so they are deterministic and safe to gate
+  // with hard floors in CI (tools/bench_report.py perf-floor).
+  prof->add("sim_event_pool_slots", tb.sim().event_pool_slots());
+  prof->add("sim_callback_heap", tb.sim().callback_heap_allocs());
+}
+
+// Periodic `ts:` sampling opt-in: opts.sample_state, or LL_SAMPLE set to
+// anything but "" / "0". Only consulted when the run is traced.
+bool sampling_enabled(const CompareOptions& opts) {
+  if (opts.sample_state) return true;
+  const char* env = std::getenv("LL_SAMPLE");
+  return env != nullptr && env[0] != '\0' &&
+         !(env[0] == '0' && env[1] == '\0');
+}
+
+// Folds sampler telemetry into the profiler shard: `ts_samples` (records
+// emitted this run) and `flight_dumps` (thread-local dump-count delta since
+// `dumps_before`). Null sampler contributes 0 samples.
 void fold_sampler_counters(obs::ProfilerShard* prof,
                            const obs::StateSampler* sampler,
                            std::uint64_t dumps_before) {
@@ -115,15 +131,12 @@ void fold_sampler_counters(obs::ProfilerShard* prof,
   if (dumps > dumps_before) prof->add("flight_dumps", dumps - dumps_before);
 }
 
-void fold_quic_run_metrics(const RunObserver& observer, bool done,
-                           Duration plt, http::QuicClientSession& session,
-                           http::QuicObjectServer& server, Testbed& tb) {
-  if (observer.metrics == nullptr) return;
-  obs::MetricsRegistry& m = *observer.metrics;
-  const std::string& p = observer.prefix;
+// The stack's transport counters: the client connection, then the server's
+// latest connection.
+void fold_transport(obs::MetricsRegistry& m, const std::string& p,
+                    http::QuicClientSession& session,
+                    http::QuicObjectServer& server) {
   const quic::ConnectionStats& cs = session.connection().stats();
-  m.incr(p + "runs");
-  if (!done) m.incr(p + "timeouts");
   m.incr(p + "packets_sent", cs.packets_sent);
   m.incr(p + "packets_received", cs.packets_received);
   m.incr(p + "bytes_sent", cs.bytes_sent);
@@ -140,24 +153,12 @@ void fold_quic_run_metrics(const RunObserver& observer, bool done,
     m.incr(p + "server_spurious_losses", ss.spurious_losses);
     m.incr(p + "server_rto_count", ss.rto_count);
   }
-  fold_link_metrics(m, p, tb);
-  if (done) m.observe(p + "plt_us", plt.count() / 1000);
-  if (observer.trace != nullptr) {
-    // Histograms first: run:metrics stays the artifact's last line.
-    m.record_histograms_to(*observer.trace, tb.sim().now());
-    m.record_to(*observer.trace, tb.sim().now());
-  }
 }
 
-void fold_tcp_run_metrics(const RunObserver& observer, bool done,
-                          Duration plt, http::H2ClientSession& session,
-                          http::TcpObjectServer& server, Testbed& tb) {
-  if (observer.metrics == nullptr) return;
-  obs::MetricsRegistry& m = *observer.metrics;
-  const std::string& p = observer.prefix;
+void fold_transport(obs::MetricsRegistry& m, const std::string& p,
+                    http::H2ClientSession& session,
+                    http::TcpObjectServer& server) {
   const tcp::TcpStats& cs = session.connection().stats();
-  m.incr(p + "runs");
-  if (!done) m.incr(p + "timeouts");
   m.incr(p + "segments_sent", cs.segments_sent);
   m.incr(p + "segments_received", cs.segments_received);
   m.incr(p + "bytes_sent", cs.bytes_sent);
@@ -174,8 +175,32 @@ void fold_tcp_run_metrics(const RunObserver& observer, bool done,
     m.incr(p + "server_dsack_events", ss.dsack_events);
     m.incr(p + "server_rto_count", ss.rto_count);
   }
-  fold_link_metrics(m, p, tb);
-  if (done) m.observe(p + "plt_us", plt.count() / 1000);
+}
+
+// Per-run metrics + trace epilogue. The run's duration (page PLT or
+// scenario completion time) is observed as "<prefix>plt_us" on completion.
+template <typename Session, typename Server>
+void fold_run_metrics(const RunObserver& observer, RunForm form, bool done,
+                      const workload::ScenarioResult& res, Session& session,
+                      Server& server, Testbed& tb) {
+  if (observer.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *observer.metrics;
+  const std::string& p = observer.prefix;
+  if (form == RunForm::kScenario) {
+    m.incr(p + "scn_transactions", res.transactions);
+    m.incr(p + "scn_upload_bytes", res.upload_bytes);
+    m.incr(p + "scn_download_bytes", res.download_bytes);
+  }
+  m.incr(p + "runs");
+  if (!done) m.incr(p + "timeouts");
+  fold_transport(m, p, session, server);
+  const LinkStats& up = tb.uplink().stats();
+  const LinkStats& down = tb.downlink().stats();
+  m.incr(p + "link_drops_queue", up.dropped_queue + down.dropped_queue);
+  m.incr(p + "link_drops_random", up.dropped_random + down.dropped_random);
+  m.incr(p + "link_reordered",
+         up.delivered_out_of_order + down.delivered_out_of_order);
+  if (done) m.observe(p + "plt_us", res.duration.count() / 1000);
   if (observer.trace != nullptr) {
     // Histograms first: run:metrics stays the artifact's last line.
     m.record_histograms_to(*observer.trace, tb.sim().now());
@@ -183,33 +208,50 @@ void fold_tcp_run_metrics(const RunObserver& observer, bool done,
   }
 }
 
-}  // namespace detail
-
-std::optional<double> run_quic_page_load(const Scenario& scenario,
-                                         const Workload& workload,
+// The one run path: drives `spec` over stack P in a fresh testbed and
+// returns its totals, or nullopt on timeout. `tokens` is the QUIC client's
+// persistent 0-RTT cache (unused, may be null, for TCP).
+template <Protocol P>
+std::optional<ScenarioRunStats> run_once(const Scenario& scenario,
+                                         const workload::ScenarioSpec& spec,
+                                         RunForm form,
                                          const CompareOptions& opts,
-                                         quic::TokenCache& tokens,
+                                         quic::TokenCache* tokens,
                                          const RunObserver* observer) {
+  constexpr bool kQuic = P == Protocol::kQuic;
+  using Server = std::conditional_t<kQuic, http::QuicObjectServer,
+                                    http::TcpObjectServer>;
+  using Session = std::conditional_t<kQuic, http::QuicClientSession,
+                                     http::H2ClientSession>;
+  // The stack's transport config within a CompareOptions.
+  const auto stack_config = [](auto& o) -> auto& {
+    if constexpr (P == Protocol::kQuic) {
+      return o.quic;
+    } else {
+      return o.tcp;
+    }
+  };
+
   obs::ProfilerShard* prof = obs::Profiler::local(opts.profiler);
-  obs::ScopedTimer run_timer(prof, "run:quic");
+  obs::ScopedTimer run_timer(prof, kQuic ? "run:quic" : "run:tcp");
   obs::TraceSink* sink = observer != nullptr ? observer->trace : nullptr;
   // Tracing enabled: run under a copy of the options that carries the sink
-  // into both endpoints' transport configs. Disabled: the original options
-  // pass through untouched (no copy, no null-sink formatting anywhere).
+  // into the stack's transport config. Disabled: the original options pass
+  // through untouched (no copy, no null-sink formatting anywhere).
   CompareOptions traced;
   const CompareOptions* eff = &opts;
   if (sink != nullptr) {
     traced = opts;
-    traced.quic.trace = sink;
+    stack_config(traced).trace = sink;
     eff = &traced;
   }
   // Periodic `ts:` sampling (schema v3). Declared before the endpoints so
   // connections deregister (in their destructors) before the sampler dies.
   std::optional<obs::StateSampler> sampler;
   const std::uint64_t dumps_before = obs::FlightRecorder::thread_dumps();
-  if (sink != nullptr && detail::sampling_enabled(opts)) {
+  if (sink != nullptr && sampling_enabled(opts)) {
     sampler.emplace(sink);
-    traced.quic.sampler = &*sampler;
+    stack_config(traced).sampler = &*sampler;
   }
 
   Testbed tb(scenario);
@@ -219,124 +261,91 @@ std::optional<double> run_quic_page_load(const Scenario& scenario,
   if (sink != nullptr) {
     up_obs.emplace(tb.uplink(), *sink, "up");
     down_obs.emplace(tb.downlink(), *sink, "down");
-    emit_run_start(sink, "quic", scenario, workload, tb.sim().now());
+    emit_run_start(*sink, kQuic ? "quic" : "tcp", scenario, spec, form,
+                   tb.sim().now());
   }
   if (sampler) detail::register_testbed_probes(*sampler, tb);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort,
-                                eff->quic);
+  const auto& config = stack_config(*eff);
+  const Port server_port = kQuic ? kQuicPort : kTcpPort;
+  Server server(tb.sim(), tb.server_host(), server_port, config);
   const std::shared_ptr<void> keepalive =
       eff->setup ? eff->setup(tb) : nullptr;
 
-  const Address target = eff->quic_connect_to_mid
-                             ? tb.mid_host().address()
-                             : tb.server_host().address();
-  const Port port = eff->quic_connect_port.value_or(kQuicPort);
-  http::QuicClientSession session(tb.sim(), tb.client_host(), target, port,
-                                  eff->quic, tokens);
-  http::PageLoader loader(tb.sim(), session,
-                          {workload.object_count, workload.object_bytes});
-  loader.start();
+  // Proxy experiments connect to the mid host and/or another port.
+  const bool to_mid =
+      kQuic ? eff->quic_connect_to_mid : eff->tcp_connect_to_mid;
+  const Address target =
+      to_mid ? tb.mid_host().address() : tb.server_host().address();
+  const Port port = (kQuic ? eff->quic_connect_port : eff->tcp_connect_port)
+                        .value_or(server_port);
+  Session session = [&] {
+    if constexpr (kQuic) {
+      return Session(tb.sim(), tb.client_host(), target, port, config,
+                     *tokens);
+    } else {
+      return Session(tb.sim(), tb.client_host(), target, port, config);
+    }
+  }();
+  workload::ScenarioRunner runner(tb.sim(), session, spec);
+  runner.start();
   std::optional<PeriodicTimer> sample_timer;
   if (sampler) {
     sample_timer.emplace(tb.sim(), eff->sample_interval,
                          [&] { sampler->sample(tb.sim().now()); });
   }
-  const bool done = tb.run_until([&] { return loader.finished(); },
-                                 eff->timeout);
-  detail::emit_run_summary(sink, done, loader.result().plt, tb.sim().now());
-  detail::fold_profile_counters(prof, tb);
-  detail::fold_sampler_counters(prof, sampler ? &*sampler : nullptr,
-                                dumps_before);
-
+  const bool done =
+      tb.run_until([&] { return runner.finished(); }, eff->timeout);
+  const workload::ScenarioResult& res = runner.result();
+  detail::emit_run_summary(sink, done, res.duration, tb.sim().now());
+  fold_profile_counters(prof, tb);
+  fold_sampler_counters(prof, sampler ? &*sampler : nullptr, dumps_before);
   if (observer != nullptr) {
-    detail::fold_quic_run_metrics(*observer, done, loader.result().plt,
-                                  session, server, tb);
+    fold_run_metrics(*observer, form, done, res, session, server, tb);
   }
   if (!done) return std::nullopt;
-  return to_seconds(loader.result().plt);
-}
-
-std::optional<double> run_tcp_page_load(const Scenario& scenario,
-                                        const Workload& workload,
-                                        const CompareOptions& opts,
-                                        const RunObserver* observer) {
-  obs::ProfilerShard* prof = obs::Profiler::local(opts.profiler);
-  obs::ScopedTimer run_timer(prof, "run:tcp");
-  obs::TraceSink* sink = observer != nullptr ? observer->trace : nullptr;
-  CompareOptions traced;
-  const CompareOptions* eff = &opts;
-  if (sink != nullptr) {
-    traced = opts;
-    traced.tcp.trace = sink;
-    eff = &traced;
-  }
-  // Periodic `ts:` sampling (schema v3); see run_quic_page_load.
-  std::optional<obs::StateSampler> sampler;
-  const std::uint64_t dumps_before = obs::FlightRecorder::thread_dumps();
-  if (sink != nullptr && detail::sampling_enabled(opts)) {
-    sampler.emplace(sink);
-    traced.tcp.sampler = &*sampler;
-  }
-
-  Testbed tb(scenario);
-  std::optional<LinkEventObserver> up_obs;
-  std::optional<LinkEventObserver> down_obs;
-  if (sink != nullptr) {
-    up_obs.emplace(tb.uplink(), *sink, "up");
-    down_obs.emplace(tb.downlink(), *sink, "down");
-    emit_run_start(sink, "tcp", scenario, workload, tb.sim().now());
-  }
-  if (sampler) detail::register_testbed_probes(*sampler, tb);
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), kTcpPort, eff->tcp);
-  const std::shared_ptr<void> keepalive =
-      eff->setup ? eff->setup(tb) : nullptr;
-
-  const Address target = eff->tcp_connect_to_mid ? tb.mid_host().address()
-                                                 : tb.server_host().address();
-  const Port port = eff->tcp_connect_port.value_or(kTcpPort);
-  http::H2ClientSession session(tb.sim(), tb.client_host(), target, port,
-                                eff->tcp);
-  http::PageLoader loader(tb.sim(), session,
-                          {workload.object_count, workload.object_bytes});
-  loader.start();
-  std::optional<PeriodicTimer> sample_timer;
-  if (sampler) {
-    sample_timer.emplace(tb.sim(), eff->sample_interval,
-                         [&] { sampler->sample(tb.sim().now()); });
-  }
-  const bool done = tb.run_until([&] { return loader.finished(); },
-                                 eff->timeout);
-  detail::emit_run_summary(sink, done, loader.result().plt, tb.sim().now());
-  detail::fold_profile_counters(prof, tb);
-  detail::fold_sampler_counters(prof, sampler ? &*sampler : nullptr,
-                                dumps_before);
-
-  if (observer != nullptr) {
-    detail::fold_tcp_run_metrics(*observer, done, loader.result().plt,
-                                 session, server, tb);
-  }
-  if (!done) return std::nullopt;
-  return to_seconds(loader.result().plt);
-}
-
-namespace {
-
-CellResult finish_cell(std::vector<double> quic, std::vector<double> tcp,
-                       bool all_complete) {
-  CellResult cell;
-  cell.quic_plt_s = std::move(quic);
-  cell.tcp_plt_s = std::move(tcp);
-  cell.all_complete = all_complete;
-  cell.quic_mean_s = stats::mean(cell.quic_plt_s);
-  cell.tcp_mean_s = stats::mean(cell.tcp_plt_s);
-  const auto welch = stats::welch_t_test(cell.tcp_plt_s, cell.quic_plt_s);
-  cell.p_value = welch.p_value;
-  cell.significant = welch.significant();
-  cell.pct_diff = stats::percent_difference(cell.tcp_mean_s, cell.quic_mean_s);
-  return cell;
+  return ScenarioRunStats{to_seconds(res.duration), res.transactions,
+                          res.upload_bytes, res.download_bytes};
 }
 
 }  // namespace
+
+std::optional<double> run_quic_page_load(const Scenario& scenario,
+                                         const Workload& page,
+                                         const CompareOptions& opts,
+                                         quic::TokenCache& tokens,
+                                         const RunObserver* observer) {
+  const auto run =
+      run_once<Protocol::kQuic>(scenario, workload::page_spec(page),
+                                RunForm::kPage, opts, &tokens, observer);
+  if (!run) return std::nullopt;
+  return run->duration_s;
+}
+
+std::optional<double> run_tcp_page_load(const Scenario& scenario,
+                                        const Workload& page,
+                                        const CompareOptions& opts,
+                                        const RunObserver* observer) {
+  const auto run =
+      run_once<Protocol::kTcp>(scenario, workload::page_spec(page),
+                               RunForm::kPage, opts, nullptr, observer);
+  if (!run) return std::nullopt;
+  return run->duration_s;
+}
+
+std::optional<ScenarioRunStats> run_quic_scenario(
+    const Scenario& scenario, const workload::ScenarioSpec& spec,
+    const CompareOptions& opts, quic::TokenCache& tokens,
+    const RunObserver* observer) {
+  return run_once<Protocol::kQuic>(scenario, spec, RunForm::kScenario, opts,
+                                   &tokens, observer);
+}
+
+std::optional<ScenarioRunStats> run_tcp_scenario(
+    const Scenario& scenario, const workload::ScenarioSpec& spec,
+    const CompareOptions& opts, const RunObserver* observer) {
+  return run_once<Protocol::kTcp>(scenario, spec, RunForm::kScenario, opts,
+                                  nullptr, observer);
+}
 
 namespace {
 
@@ -354,35 +363,6 @@ std::string sanitize_label(std::string_view s) {
   return out;
 }
 
-}  // namespace
-
-namespace detail {
-
-// Folds per-round slots into the CellResult in round order.
-void commit_cell(const CellScratch& scratch, CellResult* out,
-                 ProgressReporter* progress) {
-  std::vector<double> a;
-  std::vector<double> b;
-  bool all_complete = true;
-  for (const auto& plt : scratch.a_plts) {
-    if (plt) a.push_back(*plt); else all_complete = false;
-  }
-  for (const auto& plt : scratch.b_plts) {
-    if (plt) b.push_back(*plt); else all_complete = false;
-  }
-  *out = finish_cell(std::move(a), std::move(b), all_complete);
-  for (const obs::MetricsRegistry& m : scratch.round_metrics) {
-    out->metrics.merge(m);
-  }
-  if (progress != nullptr) progress->tick();
-}
-
-Scenario round_scenario(const Scenario& scenario, int r) {
-  Scenario round = scenario;
-  round.seed = scenario.seed + static_cast<std::uint64_t>(r) * 1000003;
-  return round;
-}
-
 // Trace artifacts land in opts.trace_dir, or $LL_TRACE_OUT when that is
 // empty; both empty == tracing disabled.
 std::string trace_directory(const CompareOptions& opts) {
@@ -391,148 +371,196 @@ std::string trace_directory(const CompareOptions& opts) {
   return env != nullptr ? std::string(env) : std::string();
 }
 
-std::string cell_label(const Scenario& scenario, const CompareOptions& opts) {
-  const std::uint64_t id = g_cell_counter.fetch_add(1);
-  const std::string& base =
-      opts.trace_label.empty() ? scenario.name : opts.trace_label;
-  return "c" + std::to_string(id) + "_" + sanitize_label(base);
+// One side of a paired cell.
+struct Arm {
+  Protocol stack = Protocol::kQuic;
+  CompareOptions opts;
+  std::string prefix;  // metrics key prefix, e.g. "quic."
+  std::string suffix;  // trace file name suffix, e.g. "_quic"
+  // A QUIC arm warms its token cache at seed scenario.seed + this offset.
+  std::uint64_t warm_seed_offset = 0;
+};
+
+Arm quic_arm(const CompareOptions& opts) {
+  return {Protocol::kQuic, opts, "quic.", "_quic", 7919};
 }
 
-}  // namespace detail
+Arm tcp_arm(const CompareOptions& opts) {
+  return {Protocol::kTcp, opts, "tcp.", "_tcp", 0};
+}
 
-using detail::cell_label;
-using detail::CellScratch;
-using detail::commit_cell;
-using detail::round_scenario;
-using detail::trace_directory;
+// Everything a cell's jobs share. The plan (scenario through label) is
+// fixed at submission. The warm job fills `tokens` before any round starts
+// (job-graph edge); round jobs write disjoint slots and each copies the
+// settled post-warm cache, so rounds never share mutable state and the
+// fold is independent of the worker count.
+struct Cell {
+  Scenario scenario;
+  workload::ScenarioSpec spec;
+  RunForm form = RunForm::kPage;
+  std::array<Arm, 2> arms;
+  std::string dir;    // trace artifact directory; empty == untraced
+  std::string label;  // submission-ordered artifact name stem
+  std::array<quic::TokenCache, 2> tokens;
+  std::array<std::vector<std::optional<double>>, 2> durations;
+  // Per-round metric totals, merged into CellResult::metrics in round order
+  // by the commit job.
+  std::vector<obs::MetricsRegistry> round_metrics;
+};
 
-SweepRunner::Ticket compare_plt_async(SweepRunner& runner,
-                                      const Scenario& scenario,
-                                      const Workload& workload,
-                                      const CompareOptions& opts,
-                                      CellResult* out,
-                                      ProgressReporter* progress) {
-  auto scratch = std::make_shared<CellScratch>();
-  scratch->a_plts.resize(static_cast<std::size_t>(opts.rounds));
-  scratch->b_plts.resize(static_cast<std::size_t>(opts.rounds));
-  scratch->round_metrics.resize(static_cast<std::size_t>(opts.rounds));
+std::optional<ScenarioRunStats> run_arm(const Cell& cell, const Arm& arm,
+                                        const Scenario& round,
+                                        quic::TokenCache& tokens,
+                                        const RunObserver& observer) {
+  if (arm.stack == Protocol::kQuic) {
+    return run_once<Protocol::kQuic>(round, cell.spec, cell.form, arm.opts,
+                                     &tokens, &observer);
+  }
+  return run_once<Protocol::kTcp>(round, cell.spec, cell.form, arm.opts,
+                                  nullptr, &observer);
+}
 
+// Folds per-round slots into the CellResult in round order (arm a into the
+// quic_* fields, arm b into the tcp_* ones; means, Welch's t-test, merged
+// metrics) and ticks `progress` (may be nullptr).
+void commit_cell(const Cell& cell, CellResult* out,
+                 ProgressReporter* progress) {
+  CellResult result;
+  const auto collect = [&result](const std::vector<std::optional<double>>& in,
+                                 std::vector<double>& to) {
+    for (const auto& d : in) {
+      if (d) to.push_back(*d); else result.all_complete = false;
+    }
+  };
+  collect(cell.durations[0], result.quic_plt_s);
+  collect(cell.durations[1], result.tcp_plt_s);
+  result.quic_mean_s = stats::mean(result.quic_plt_s);
+  result.tcp_mean_s = stats::mean(result.tcp_plt_s);
+  const auto welch = stats::welch_t_test(result.tcp_plt_s, result.quic_plt_s);
+  result.p_value = welch.p_value;
+  result.significant = welch.significant();
+  result.pct_diff =
+      stats::percent_difference(result.tcp_mean_s, result.quic_mean_s);
+  for (const obs::MetricsRegistry& m : cell.round_metrics) {
+    result.metrics.merge(m);
+  }
+  *out = result;
+  if (progress != nullptr) progress->tick();
+}
+
+// The one cell builder: a warm job filling each QUIC arm's token cache, one
+// job per paired round (arm a, then arm b, on the round's seed), and a
+// commit job gated on every round.
+SweepRunner::Ticket submit_cell(SweepRunner& runner, const Scenario& scenario,
+                                workload::ScenarioSpec spec, RunForm form,
+                                Arm a, Arm b, CellResult* out,
+                                ProgressReporter* progress) {
+  LL_CHECK(a.opts.rounds == b.opts.rounds)
+      << "cell arms disagree on rounds: " << a.opts.rounds << " vs "
+      << b.opts.rounds;
+  const auto rounds = static_cast<std::size_t>(a.opts.rounds);
+  auto cell = std::make_shared<Cell>();
+  cell->scenario = scenario;
+  cell->spec = std::move(spec);
+  cell->form = form;
   // Resolved now, on the submitting thread, so names don't depend on which
   // worker eventually runs the round.
-  const std::string dir = trace_directory(opts);
-  std::string label;
-  if (!dir.empty()) {
-    label = cell_label(scenario, opts);
-    std::filesystem::create_directories(dir);
+  cell->dir = trace_directory(a.opts);
+  if (!cell->dir.empty()) {
+    cell->label = "c" + std::to_string(g_cell_counter.fetch_add(1)) + "_" +
+                  sanitize_label(a.opts.trace_label.empty()
+                                     ? scenario.name
+                                     : a.opts.trace_label);
+    std::filesystem::create_directories(cell->dir);
   }
+  cell->arms = {std::move(a), std::move(b)};
+  for (auto& d : cell->durations) d.resize(rounds);
+  cell->round_metrics.resize(rounds);
 
-  const SweepRunner::Ticket warm = runner.submit([scratch, scenario, opts] {
-    if (!opts.warm_zero_rtt) return;
-    Scenario w = scenario;
-    w.seed = scenario.seed + 7919;
-    (void)run_quic_page_load(w, {1, 1024}, opts, scratch->tokens_a);
+  const SweepRunner::Ticket warm = runner.submit([cell] {
+    for (std::size_t i = 0; i < cell->arms.size(); ++i) {
+      const Arm& arm = cell->arms[i];
+      if (arm.stack != Protocol::kQuic || !arm.opts.warm_zero_rtt) continue;
+      Scenario w = cell->scenario;
+      w.seed += arm.warm_seed_offset;
+      (void)run_quic_page_load(w, {1, 1024}, arm.opts, cell->tokens[i]);
+    }
   });
-
-  std::vector<SweepRunner::Ticket> rounds;
-  rounds.reserve(static_cast<std::size_t>(opts.rounds));
-  for (int r = 0; r < opts.rounds; ++r) {
-    rounds.push_back(runner.submit(
-        [scratch, scenario, workload, opts, dir, label, r] {
-          const Scenario round = round_scenario(scenario, r);
-          // Back-to-back: QUIC then TCP with identical network randomness.
-          quic::TokenCache tokens = scratch->tokens_a;
-          const std::size_t slot = static_cast<std::size_t>(r);
-          const bool tracing = !dir.empty();
-          obs::JsonLinesSink quic_sink;
-          obs::JsonLinesSink tcp_sink;
-          RunObserver quic_obs{tracing ? &quic_sink : nullptr,
-                               &scratch->round_metrics[slot], "quic."};
-          RunObserver tcp_obs{tracing ? &tcp_sink : nullptr,
-                              &scratch->round_metrics[slot], "tcp."};
-          scratch->a_plts[slot] =
-              run_quic_page_load(round, workload, opts, tokens, &quic_obs);
-          scratch->b_plts[slot] =
-              run_tcp_page_load(round, workload, opts, &tcp_obs);
-          if (tracing) {
-            const std::string stem =
-                dir + "/" + label + "_r" + std::to_string(r);
-            LL_CHECK(quic_sink.write_file(stem + "_quic.jsonl"));
-            LL_CHECK(tcp_sink.write_file(stem + "_tcp.jsonl"));
+  std::vector<SweepRunner::Ticket> round_jobs;
+  round_jobs.reserve(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    round_jobs.push_back(runner.submit(
+        [cell, r] {
+          // Same network, per-round derived seed; both arms see identical
+          // network randomness.
+          Scenario round = cell->scenario;
+          round.seed += r * 1000003;
+          for (std::size_t i = 0; i < cell->arms.size(); ++i) {
+            const Arm& arm = cell->arms[i];
+            quic::TokenCache tokens = cell->tokens[i];
+            obs::JsonLinesSink sink;
+            const RunObserver observer{cell->dir.empty() ? nullptr : &sink,
+                                       &cell->round_metrics[r], arm.prefix};
+            if (const auto run = run_arm(*cell, arm, round, tokens, observer)) {
+              cell->durations[i][r] = run->duration_s;
+            }
+            if (observer.trace != nullptr) {
+              LL_CHECK(sink.write_file(cell->dir + "/" + cell->label + "_r" +
+                                       std::to_string(r) + arm.suffix +
+                                       ".jsonl"));
+            }
           }
         },
         {warm}));
   }
-  return runner.submit([scratch, out, progress] {
-    commit_cell(*scratch, out, progress);
-  }, rounds);
+  return runner.submit(
+      [cell, out, progress] { commit_cell(*cell, out, progress); },
+      round_jobs);
+}
+
+// Runs one cell to completion on a private runner.
+template <typename Submit>
+CellResult run_cell(const Submit& submit) {
+  SweepRunner runner;
+  CellResult out;
+  submit(runner, &out);
+  runner.wait_all();
+  return out;
+}
+
+}  // namespace
+
+SweepRunner::Ticket compare_plt_async(SweepRunner& runner,
+                                      const Scenario& scenario,
+                                      const Workload& page,
+                                      const CompareOptions& opts,
+                                      CellResult* out,
+                                      ProgressReporter* progress) {
+  return submit_cell(runner, scenario, workload::page_spec(page),
+                     RunForm::kPage, quic_arm(opts), tcp_arm(opts), out,
+                     progress);
 }
 
 SweepRunner::Ticket compare_quic_pair_async(SweepRunner& runner,
                                             const Scenario& scenario,
-                                            const Workload& workload,
+                                            const Workload& page,
                                             const CompareOptions& a_opts,
                                             const CompareOptions& b_opts,
                                             CellResult* out,
                                             ProgressReporter* progress) {
-  auto scratch = std::make_shared<CellScratch>();
-  scratch->a_plts.resize(static_cast<std::size_t>(a_opts.rounds));
-  scratch->b_plts.resize(static_cast<std::size_t>(a_opts.rounds));
-  scratch->round_metrics.resize(static_cast<std::size_t>(a_opts.rounds));
+  return submit_cell(runner, scenario, workload::page_spec(page),
+                     RunForm::kPage,
+                     {Protocol::kQuic, a_opts, "quic_a.", "_a", 7919},
+                     {Protocol::kQuic, b_opts, "quic_b.", "_b", 104729}, out,
+                     progress);
+}
 
-  const std::string dir = trace_directory(a_opts);
-  std::string label;
-  if (!dir.empty()) {
-    label = cell_label(scenario, a_opts);
-    std::filesystem::create_directories(dir);
-  }
-
-  const SweepRunner::Ticket warm =
-      runner.submit([scratch, scenario, a_opts, b_opts] {
-        if (a_opts.warm_zero_rtt) {
-          Scenario w = scenario;
-          w.seed = scenario.seed + 7919;
-          (void)run_quic_page_load(w, {1, 1024}, a_opts, scratch->tokens_a);
-        }
-        if (b_opts.warm_zero_rtt) {
-          Scenario w = scenario;
-          w.seed = scenario.seed + 104729;
-          (void)run_quic_page_load(w, {1, 1024}, b_opts, scratch->tokens_b);
-        }
-      });
-
-  std::vector<SweepRunner::Ticket> rounds;
-  rounds.reserve(static_cast<std::size_t>(a_opts.rounds));
-  for (int r = 0; r < a_opts.rounds; ++r) {
-    rounds.push_back(runner.submit(
-        [scratch, scenario, workload, a_opts, b_opts, dir, label, r] {
-          const Scenario round = round_scenario(scenario, r);
-          quic::TokenCache tokens_a = scratch->tokens_a;
-          quic::TokenCache tokens_b = scratch->tokens_b;
-          const std::size_t slot = static_cast<std::size_t>(r);
-          const bool tracing = !dir.empty();
-          obs::JsonLinesSink a_sink;
-          obs::JsonLinesSink b_sink;
-          RunObserver a_obs{tracing ? &a_sink : nullptr,
-                            &scratch->round_metrics[slot], "quic_a."};
-          RunObserver b_obs{tracing ? &b_sink : nullptr,
-                            &scratch->round_metrics[slot], "quic_b."};
-          scratch->a_plts[slot] =
-              run_quic_page_load(round, workload, a_opts, tokens_a, &a_obs);
-          scratch->b_plts[slot] =
-              run_quic_page_load(round, workload, b_opts, tokens_b, &b_obs);
-          if (tracing) {
-            const std::string stem =
-                dir + "/" + label + "_r" + std::to_string(r);
-            LL_CHECK(a_sink.write_file(stem + "_a.jsonl"));
-            LL_CHECK(b_sink.write_file(stem + "_b.jsonl"));
-          }
-        },
-        {warm}));
-  }
-  // Convention: "a" plays the QUIC role, "b" the baseline role.
-  return runner.submit([scratch, out, progress] {
-    commit_cell(*scratch, out, progress);
-  }, rounds);
+SweepRunner::Ticket compare_scenario_async(
+    SweepRunner& runner, const Scenario& scenario,
+    const workload::ScenarioSpec& spec, const CompareOptions& opts,
+    CellResult* out, ProgressReporter* progress) {
+  return submit_cell(runner, scenario, spec, RunForm::kScenario,
+                     quic_arm(opts), tcp_arm(opts), out, progress);
 }
 
 std::vector<std::vector<CellResult>> run_plt_grid(
@@ -552,22 +580,26 @@ std::vector<std::vector<CellResult>> run_plt_grid(
 
 CellResult compare_plt(const Scenario& scenario, const Workload& workload,
                        const CompareOptions& opts) {
-  SweepRunner runner;
-  CellResult out;
-  compare_plt_async(runner, scenario, workload, opts, &out);
-  runner.wait_all();
-  return out;
+  return run_cell([&](SweepRunner& runner, CellResult* out) {
+    compare_plt_async(runner, scenario, workload, opts, out);
+  });
 }
 
 CellResult compare_quic_pair(const Scenario& scenario,
                              const Workload& workload,
                              const CompareOptions& a_opts,
                              const CompareOptions& b_opts) {
-  SweepRunner runner;
-  CellResult out;
-  compare_quic_pair_async(runner, scenario, workload, a_opts, b_opts, &out);
-  runner.wait_all();
-  return out;
+  return run_cell([&](SweepRunner& runner, CellResult* out) {
+    compare_quic_pair_async(runner, scenario, workload, a_opts, b_opts, out);
+  });
+}
+
+CellResult compare_scenario(const Scenario& scenario,
+                            const workload::ScenarioSpec& spec,
+                            const CompareOptions& opts) {
+  return run_cell([&](SweepRunner& runner, CellResult* out) {
+    compare_scenario_async(runner, scenario, spec, opts, out);
+  });
 }
 
 }  // namespace longlook::harness

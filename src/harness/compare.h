@@ -1,7 +1,18 @@
-// Paired QUIC-vs-TCP page-load comparison (the paper's core methodology,
-// Secs. 3.3/5.2): >=10 rounds per scenario, QUIC and TCP back-to-back with
-// the same network randomness per round, Welch's t-test at p < 0.01, and
-// persistent 0-RTT state across rounds (sockets closed, token cache kept).
+// Paired comparison cells (the paper's core methodology, Secs. 3.3/5.2):
+// >=10 rounds per scenario, the two arms back-to-back with the same network
+// randomness per round, Welch's t-test at p < 0.01, and persistent 0-RTT
+// state across rounds (sockets closed, token cache kept).
+//
+// One runner drives every run: a fresh testbed, the arm's server and client
+// session, and a workload::ScenarioRunner over a workload::ScenarioSpec. A
+// page load is the one-entry spec workload::page_spec() builds; the scenario
+// entry points in perf.h hand their parsed spec straight in. The two forms
+// differ only in what they record (run:start fields, scn_* totals).
+//
+// One cell builder drives every cell: two arms (QUIC vs TCP, or QUIC vs
+// QUIC under two configurations), a warm job per QUIC arm, one job per
+// paired round, and a commit job folding the rounds in order. The public
+// builders below (and compare_scenario_async in perf.h) pick the arms.
 #pragma once
 
 #include <functional>
@@ -15,13 +26,12 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "stats/stats.h"
+#include "workload/scenario.h"
 
 namespace longlook::harness {
 
-struct Workload {
-  std::size_t object_count = 1;
-  std::size_t object_bytes = 100 * 1024;
-};
+// A page: object_count objects of object_bytes each.
+using Workload = workload::PageGraph;
 
 struct CompareOptions {
   int rounds = 10;
@@ -58,8 +68,8 @@ struct CompareOptions {
   // the exact untraced code path.
   bool sample_state = false;
   Duration sample_interval = milliseconds(10);
-  // Testbed self-observability: when non-null, every page-load run folds
-  // its simulator/link work counters (events dispatched, timer ops, packets
+  // Testbed self-observability: when non-null, every run folds its
+  // simulator/link work counters (events dispatched, timer ops, packets
   // forwarded, bytes moved) and wall time into the calling worker's shard.
   // nullptr == profiling disabled, zero cost, byte-identical output. Must
   // outlive the sweep.
@@ -81,10 +91,10 @@ struct CellResult {
   obs::MetricsRegistry metrics;
 };
 
-// Optional per-run observability hooks threaded through the page-load
-// runners: `trace` receives the run's structured events (null == tracing
-// disabled, zero formatting cost), `metrics` receives per-run totals under
-// `prefix` (e.g. "quic.packets_sent").
+// Optional per-run observability hooks threaded through the runner:
+// `trace` receives the run's structured events (null == tracing disabled,
+// zero formatting cost), `metrics` receives per-run totals under `prefix`
+// (e.g. "quic.packets_sent").
 struct RunObserver {
   obs::TraceSink* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
@@ -108,7 +118,10 @@ CellResult compare_plt(const Scenario& scenario, const Workload& workload,
                        const CompareOptions& opts);
 
 // QUIC-vs-QUIC comparison (0-RTT study, proxy study, MACW study): runs the
-// same workload under two QUIC configurations.
+// same workload under two QUIC configurations. Arm "a" fills the quic_*
+// fields of the result, arm "b" the tcp_* (baseline) ones. Both option sets
+// must ask for the same number of rounds; trace_dir/trace_label come from
+// `a_opts`.
 CellResult compare_quic_pair(const Scenario& scenario, const Workload& workload,
                              const CompareOptions& a_opts,
                              const CompareOptions& b_opts);
@@ -117,13 +130,13 @@ CellResult compare_quic_pair(const Scenario& scenario, const Workload& workload,
 //
 // The async variants enqueue one job per paired round onto `runner` plus an
 // explicit job-graph edge for the 0-RTT warm fetch: the warm job fills a
-// token cache, and every measured round starts from its own copy of the
-// post-warm cache, so rounds are independent and the folded CellResult is
-// byte-identical for any worker count (LL_JOBS=1 included). A commit job,
-// gated on all of the cell's rounds, folds the per-round PLTs in round
-// order into *out and ticks `progress` (may be nullptr). `out` and
-// `progress` must outlive runner.wait_all(). The returned ticket is the
-// commit job, usable as a dependency for downstream work.
+// token cache per QUIC arm, and every measured round starts from its own
+// copy of the post-warm cache, so rounds are independent and the folded
+// CellResult is byte-identical for any worker count (LL_JOBS=1 included).
+// A commit job, gated on all of the cell's rounds, folds the per-round
+// results in round order into *out and ticks `progress` (may be nullptr).
+// `out` and `progress` must outlive runner.wait_all(). The returned ticket
+// is the commit job, usable as a dependency for downstream work.
 SweepRunner::Ticket compare_plt_async(SweepRunner& runner,
                                       const Scenario& scenario,
                                       const Workload& workload,

@@ -3,18 +3,24 @@
 #include <memory>
 
 #include "harness/compare_detail.h"
-#include "http/page_loader.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "sim/timer.h"
+#include "workload/executor.h"
 
 namespace longlook::harness {
 namespace {
 
+// Response bytes a flow's single download has received so far.
+std::uint64_t delivered(const workload::ScenarioRunner& loader) {
+  const auto& detail = loader.result().detail;
+  return detail.empty() ? 0 : detail.front().download_bytes;
+}
+
 struct Flow {
   FlowReport report;
   std::unique_ptr<http::ClientSession> session;
-  std::unique_ptr<http::PageLoader> loader;
+  std::unique_ptr<workload::ScenarioRunner> loader;
   std::size_t sampler_index = 0;
   // Sender-side (server) connection snapshot, resolved lazily after the
   // handshake: fills cwnd/srtt/inflight from the server's view of the flow.
@@ -46,6 +52,9 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
             .u("object_bytes", config.transfer_bytes));
   }
 
+  // Declared before the flows: their runners hold a reference to it.
+  const workload::ScenarioSpec download =
+      workload::page_spec({1, config.transfer_bytes});
   std::vector<std::unique_ptr<Flow>> flows;
   std::vector<std::unique_ptr<quic::TokenCache>> token_caches;
 
@@ -92,9 +101,8 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
 
   // Start every flow at t=0: one huge download each.
   for (auto& flow : flows) {
-    flow->loader = std::make_unique<http::PageLoader>(
-        tb.sim(), *flow->session,
-        http::PageConfig{1, config.transfer_bytes});
+    flow->loader = std::make_unique<workload::ScenarioRunner>(
+        tb.sim(), *flow->session, download);
     flow->loader->start();
   }
 
@@ -110,8 +118,7 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
         sampler.add_flow(flow->report.name, [raw_flow]() {
           obs::ConnSample s;
           raw_flow->state_probe(s);
-          s.delivered_bytes =
-              raw_flow->loader->result().objects[0].bytes_received;
+          s.delivered_bytes = delivered(*raw_flow->loader);
           return s;
         });
   }
@@ -138,8 +145,7 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
       last = pt.sample.delivered_bytes;
       flow.report.timeline.push_back(s);
     }
-    flow.report.bytes_received =
-        flow.loader->result().objects[0].bytes_received;
+    flow.report.bytes_received = delivered(*flow.loader);
     flow.report.avg_mbps = static_cast<double>(flow.report.bytes_received) *
                            8.0 / to_seconds(config.duration) / 1e6;
     m.incr("flow" + std::to_string(i) + ".bytes_received",

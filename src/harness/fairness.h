@@ -14,8 +14,6 @@
 
 namespace longlook::harness {
 
-enum class Protocol { kQuic, kTcp };
-
 struct FlowSample {
   double t_s = 0;
   double mbps = 0;          // goodput over the last sample interval

@@ -1,8 +1,8 @@
 // Scenario-DSL perf comparison path: runs a parsed workload::ScenarioSpec
 // (quicperf-style transactions, dependent streams, uploads, page graphs)
-// over both stacks with the same paired-seed, warm-0-RTT, Welch-tested cell
-// methodology as the page-load path in compare.h. A workload here is a
-// string, not a translation unit — bench_perf feeds `--scenario` strings
+// over both stacks through the same runner and cell builder as the
+// page-load path in compare.h (both live in compare.cc). A workload here is
+// a string, not a translation unit — bench_perf feeds `--scenario` strings
 // straight into these entry points.
 #pragma once
 
@@ -24,7 +24,9 @@ struct ScenarioRunStats {
 
 // Runs one scenario in a fresh testbed; returns stats or nullopt on
 // timeout. The token cache persists across calls via `tokens`, exactly like
-// run_quic_page_load, so 0-RTT scenarios warm the same way.
+// run_quic_page_load, so 0-RTT scenarios warm the same way. Besides the
+// transport counters, an observer's metrics receive the scn_* totals, and
+// run:start carries the spec's totals plus its DSL string.
 std::optional<ScenarioRunStats> run_quic_scenario(
     const Scenario& scenario, const workload::ScenarioSpec& spec,
     const CompareOptions& opts, quic::TokenCache& tokens,

@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "net/host.h"
 #include "net/profiles.h"
 #include "net/varbw.h"
@@ -41,6 +40,8 @@ struct Scenario {
   std::optional<CellularProfile> cellular;
   std::uint64_t seed = 1;
 };
+
+enum class Protocol { kQuic, kTcp };
 
 constexpr Port kQuicPort = 443;
 constexpr Port kTcpPort = 443;

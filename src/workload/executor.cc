@@ -108,8 +108,6 @@ bool ScenarioRunner::issue(const PendingRequest& req) {
   });
 
   if (s.is_page()) {
-    // Identical wire form to the PageLoader, so page entries exercise the
-    // exact request path the paper's PLT cells measure.
     const std::string request =
         "GET /obj" + std::to_string(req.object_index) + " " +
         std::to_string(s.page->object_bytes) + "\n";

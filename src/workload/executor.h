@@ -1,20 +1,25 @@
 // ScenarioRunner: executes a parsed scenario over any http::ClientSession
-// (QUIC or TCP/H2 — the same transport-agnostic interface the PageLoader
-// drives), measuring what the quicperf protocol reports: total duration,
-// transaction count, and bytes moved in each direction.
+// (QUIC or TCP/H2, through one transport-agnostic interface), measuring
+// what the quicperf protocol reports: total duration, transaction count,
+// and bytes moved in each direction. It is the testbed's only workload
+// driver: a page load is the one-entry scenario workload::page_spec()
+// builds, its duration the paper's PLT and `detail` its per-object
+// resource timings (the HAR extract of Sec. 3.3).
 //
 // Execution semantics:
 //   * entries with start-after "-" begin as soon as the session is ready
-//     and run concurrently (MSPC-limited, queueing like the page loader);
+//     and run concurrently (MSPC-limited: requests beyond the session's
+//     stream limit queue and issue as earlier streams finish);
 //   * an entry's N repetitions run sequentially — request/response
 //     ping-pong — each on a fresh transport stream;
 //   * an entry with start-after=M begins when entry M completes (all of
 //     M's repetitions); the start fires exactly once even when the parent
 //     completes inside the same transport event callback (the PR 2
 //     fin-before-on_data reentrancy class);
-//   * page entries fetch their object graph like the PageLoader: all
-//     objects requested in parallel against the session's stream limit,
-//     the repetition completing with the last object's final byte.
+//   * page entries fetch their object graph with one "GET /obj<i> <bytes>"
+//     request per object, all requested in parallel against the session's
+//     stream limit, the repetition completing with the last object's final
+//     byte.
 //
 // Uploads ride the PRF request ("PRF <download> <upload>\n" + body; see
 // http::ObjectService); large bodies are produced incrementally against
@@ -62,6 +67,10 @@ class ScenarioRunner {
   // the simulation (its stream callbacks reference it).
   ScenarioRunner(Simulator& sim, http::ClientSession& session,
                  const ScenarioSpec& spec);
+  // The runner keeps a reference to `spec`, so a temporary (e.g. a
+  // page_spec() result) would dangle. Binds every rvalue, const or not.
+  ScenarioRunner(Simulator& sim, http::ClientSession& session,
+                 const ScenarioSpec&& spec) = delete;
 
   // Connects and begins executing; on_done fires when every entry has
   // completed all its repetitions.

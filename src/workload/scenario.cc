@@ -329,6 +329,16 @@ std::uint64_t ScenarioSpec::total_download_bytes() const {
   return n;
 }
 
+ScenarioSpec page_spec(const PageGraph& page) {
+  StreamSpec entry;
+  entry.page = page;
+  entry.page_ref = std::to_string(page.object_count) + "x" +
+                   std::to_string(page.object_bytes);
+  ScenarioSpec spec;
+  spec.streams.push_back(std::move(entry));
+  return spec;
+}
+
 ParseResult parse_scenario(std::string_view text, std::string_view label) {
   return Parser(text, label).run();
 }

@@ -33,8 +33,9 @@
 
 namespace longlook::workload {
 
-// A named page-load object graph: N objects of S bytes fetched in parallel
-// (MSPC-limited), PageLoader-style.
+// A page-load object graph: N objects of S bytes fetched in parallel
+// (MSPC-limited), the page load time running from connection initiation to
+// the last object's final byte (the paper's PLT, Sec. 3.3).
 struct PageGraph {
   std::size_t object_count = 1;
   std::size_t object_bytes = 100 * 1024;
@@ -81,6 +82,9 @@ struct ScenarioSpec {
 
   bool operator==(const ScenarioSpec&) const = default;
 };
+
+// The one-entry page load "*1:0:-:page=<count>x<bytes>;".
+ScenarioSpec page_spec(const PageGraph& page);
 
 // Parse outcome: exactly one of `spec` / `error` is meaningful.
 struct ParseResult {

@@ -27,18 +27,29 @@ from analysis import AnalysisError, analyze_paths, main  # noqa: E402
 
 FIXTURES = REPO / "tools" / "analysis" / "fixtures"
 
-# rule -> EXACT number of findings the bad fixtures must produce. Unlike
-# the legacy lint self-test's minimums, these are pinned exactly: any
-# drift means a rule loosened or tightened and the fixture plus this
-# table must move together.
+# rule -> EXACT number of findings the bad fixtures must produce. These
+# are pinned exactly: any drift means a rule loosened or tightened and the
+# fixture plus this table must move together.
 EXPECTED_BAD = {
     "narrowing-time-arith": 6,
     "container-mutation-in-loop": 3,
     "missing-lock-annotation": 2,
     # bad/sim/wall_clock_in_sim.cc: two reads, each firing both the
-    # everywhere-scoped legacy rule and the sim-layer-scoped new rule.
-    "wall-clock": 2,
+    # everywhere-scoped determinism rule and the sim-layer-scoped rule;
+    # bad/harness/every_rule.cc: one more read (harness is exempt from the
+    # scoped rule).
+    "wall-clock": 3,
     "wall-clock-outside-obs": 2,
+    # Determinism family, one violation per line of
+    # bad/harness/every_rule.cc ("harness/" puts it in an order-sensitive
+    # layer) and bad/cc/direct_io.cc ("cc/" puts it in a sink-enforced
+    # layer).
+    "raw-rand": 2,
+    "unordered-iteration": 1,
+    "unordered-in-report": 1,
+    "pointer-keyed-map": 2,
+    "uninitialized-pod": 2,
+    "direct-io": 3,
 }
 
 

@@ -8,6 +8,7 @@
 #include "harness/fairness.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
+#include "workload/executor.h"
 
 namespace longlook::harness {
 namespace {
@@ -22,7 +23,8 @@ TEST(Testbed, BaseRttIsAbout36Ms) {
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort, {},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 100 * 1024});
+  const workload::ScenarioSpec page = workload::page_spec({1, 100 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session, page);
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
   auto* conn = server.server().latest_connection();
@@ -40,7 +42,8 @@ TEST(Testbed, ExtraRttIsAddedToPath) {
   http::QuicClientSession session(tb.sim(), tb.client_host(),
                                   tb.server_host().address(), kQuicPort, {},
                                   tokens);
-  http::PageLoader loader(tb.sim(), session, {1, 10 * 1024});
+  const workload::ScenarioSpec page = workload::page_spec({1, 10 * 1024});
+  workload::ScenarioRunner loader(tb.sim(), session, page);
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
   auto* conn = server.server().latest_connection();
@@ -112,6 +115,18 @@ TEST(Compare, QuicPairWithIdenticalConfigsInsignificant) {
   // Same protocol, same config: only ambient noise separates the samples.
   EXPECT_FALSE(cell.significant);
   EXPECT_LT(std::abs(cell.pct_diff), 10.0);
+}
+
+TEST(CompareDeathTest, QuicPairArmsMustAgreeOnRounds) {
+  // The pair builder takes rounds from both arms; a mismatch used to be
+  // silently resolved in favour of arm a.
+  Scenario s;
+  CompareOptions a;
+  a.rounds = 3;
+  CompareOptions b = a;
+  b.rounds = 5;
+  EXPECT_DEATH(compare_quic_pair(s, {1, 1024}, a, b),
+               "CHECK failed.*disagree on rounds: 3 vs 5");
 }
 
 TEST(Report, HeatmapRendersSignificanceMarkers) {

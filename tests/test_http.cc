@@ -1,5 +1,6 @@
 // Unit tests: HTTP/2-lite framing, the object service request handling, and
-// the page loader's resource-timing semantics (driven over a real testbed).
+// page loads' resource-timing semantics (workload::ScenarioRunner page
+// entries driven over a real testbed).
 #include <gtest/gtest.h>
 
 #include "harness/testbed.h"
@@ -7,8 +8,8 @@
 #include "tcp/connection.h"
 #include "util/bytes.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace longlook::http {
 namespace {
@@ -111,7 +112,7 @@ TEST(H2SessionAccounting, PeerInitiatedStreamCountsUntilFin) {
 }
 
 TEST(H2SessionAccounting, FinFreesConcurrencySlotBeforeOnDataFires) {
-  // PageLoader opens its next queued stream from inside the fin callback;
+  // A page load opens its next queued stream from inside the fin callback;
   // the closing stream's slot must already be released at that point
   // (regression: the counter was decremented after deliver(), so a session
   // at SETTINGS_MAX_CONCURRENT_STREAMS could never drain its queue).
@@ -175,65 +176,83 @@ struct Fixture {
                             tokens};
 };
 
+// Loads one `count` x `bytes` page over the fixture's session.
+struct PageLoad {
+  workload::ScenarioSpec spec;
+  workload::ScenarioRunner runner;
+
+  PageLoad(Fixture& f, std::size_t count, std::size_t bytes)
+      : spec(workload::page_spec({count, bytes})),
+        runner(f.tb.sim(), f.session, spec) {}
+};
+
 TEST(ObjectService, ServesRequestedSize) {
   Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 123456});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 123456u);
+  PageLoad load(f, 1, 123456);
+  load.runner.start();
+  ASSERT_TRUE(
+      f.tb.run_until([&] { return load.runner.finished(); }, seconds(30)));
+  EXPECT_EQ(load.runner.result().detail[0].download_bytes, 123456u);
   EXPECT_EQ(f.server.service().requests_served(), 1u);
 }
 
 TEST(ObjectService, ZeroByteObject) {
   Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 0});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 0u);
+  PageLoad load(f, 1, 0);
+  load.runner.start();
+  ASSERT_TRUE(
+      f.tb.run_until([&] { return load.runner.finished(); }, seconds(30)));
+  EXPECT_EQ(load.runner.result().detail[0].download_bytes, 0u);
 }
 
 TEST(ObjectService, LargeObjectServedIncrementally) {
   // Above the chunking threshold: the pump path must still deliver exactly
   // the requested byte count.
   Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {1, 5 * 1024 * 1024});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(60)));
-  EXPECT_EQ(loader.result().objects[0].bytes_received, 5u * 1024 * 1024);
+  PageLoad load(f, 1, 5 * 1024 * 1024);
+  load.runner.start();
+  ASSERT_TRUE(
+      f.tb.run_until([&] { return load.runner.finished(); }, seconds(60)));
+  EXPECT_EQ(load.runner.result().detail[0].download_bytes, 5u * 1024 * 1024);
 }
 
 TEST(ObjectService, ServiceDelayDefersFirstByte) {
   Fixture f;
   f.server.service().set_service_delay(milliseconds(500), milliseconds(500),
                                        1);
-  PageLoader loader(f.tb.sim(), f.session, {1, 1000});
-  loader.start();
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  const auto& obj = loader.result().objects[0];
+  PageLoad load(f, 1, 1000);
+  load.runner.start();
+  ASSERT_TRUE(
+      f.tb.run_until([&] { return load.runner.finished(); }, seconds(30)));
+  const auto& obj = load.runner.result().detail[0];
   EXPECT_GE(to_seconds(obj.first_byte - obj.issued), 0.5);
 }
 
 TEST(PageLoader, ResourceTimingsAreOrderedAndComplete) {
   Fixture f;
-  PageLoader loader(f.tb.sim(), f.session, {10, 5000});
+  PageLoad load(f, 10, 5000);
   bool done_cb = false;
-  loader.start([&](const PageLoadResult& r) {
+  load.runner.start([&](const workload::ScenarioResult& r) {
     done_cb = true;
     EXPECT_TRUE(r.complete);
   });
-  ASSERT_TRUE(f.tb.run_until([&] { return loader.finished(); }, seconds(30)));
+  ASSERT_TRUE(
+      f.tb.run_until([&] { return load.runner.finished(); }, seconds(30)));
   EXPECT_TRUE(done_cb);
-  const PageLoadResult& r = loader.result();
-  EXPECT_EQ(r.objects.size(), 10u);
-  for (const auto& obj : r.objects) {
+  const workload::ScenarioResult& r = load.runner.result();
+  ASSERT_EQ(r.detail.size(), 10u);
+  EXPECT_EQ(r.transactions, 10u);
+  for (std::size_t i = 0; i < r.detail.size(); ++i) {
+    const workload::TransactionTiming& obj = r.detail[i];
+    EXPECT_EQ(obj.object_index, i);  // requested in object order
     EXPECT_TRUE(obj.done);
     EXPECT_LE(obj.issued.time_since_epoch().count(),
               obj.first_byte.time_since_epoch().count());
     EXPECT_LE(obj.first_byte.time_since_epoch().count(),
-              obj.complete.time_since_epoch().count());
-    EXPECT_LE(obj.complete, r.finished);
+              obj.completed.time_since_epoch().count());
+    EXPECT_LE(obj.completed, r.finished);
   }
-  EXPECT_EQ(r.plt, r.finished - r.started);
+  EXPECT_EQ(r.duration, r.finished - r.started);
 }
 
 TEST(PageLoader, QueuesBeyondStreamLimit) {
@@ -246,11 +265,22 @@ TEST(PageLoader, QueuesBeyondStreamLimit) {
   QuicClientSession session{
       tb.sim(), tb.client_host(), tb.server_host().address(),
       harness::kQuicPort, cfg, tokens};
-  PageLoader loader(tb.sim(), session, {12, 2000});
+  const workload::ScenarioSpec page = workload::page_spec({12, 2000});
+  workload::ScenarioRunner loader(tb.sim(), session, page);
   loader.start();
   ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(30)));
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 2000u);
+  const std::vector<workload::TransactionTiming>& objects =
+      loader.result().detail;
+  ASSERT_EQ(objects.size(), 12u);
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    EXPECT_EQ(objects[i].download_bytes, 2000u);
+    // Every request waited for a free stream: fewer than 4 earlier objects
+    // were still in flight when it was issued.
+    std::size_t in_flight = 0;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (objects[j].completed > objects[i].issued) ++in_flight;
+    }
+    EXPECT_LT(in_flight, 4u) << "object " << i;
   }
 }
 

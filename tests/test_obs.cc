@@ -15,6 +15,7 @@
 #include <string>
 
 #include "harness/compare.h"
+#include "harness/perf.h"
 #include "harness/runner.h"
 #include "harness/testbed.h"
 #include "obs/flight_recorder.h"
@@ -251,6 +252,68 @@ TEST(TraceSchema, CcStateEventsFeedSmiInference) {
   smi::StateMachineInference inf;
   inf.add_trace(trace);
   EXPECT_GT(inf.visits("SlowStart"), 0u);
+}
+
+// --- One run path: page form vs scenario form -----------------------------
+
+// run:start lines captured from the separate page-load and scenario runners
+// before they were folded into one; the shared runner must reproduce both
+// byte for byte.
+constexpr std::string_view kGoldenPageStart =
+    R"({"t":0,"ev":"run:start","v":3,"proto":"quic","scenario":"obs-golden",)"
+    R"("seed":42,"objects":4,"object_bytes":131072})";
+constexpr std::string_view kGoldenScenarioStart =
+    R"({"t":0,"ev":"run:start","v":3,"proto":"quic","scenario":"obs-golden",)"
+    R"("seed":42,"objects":1,"object_bytes":524288,)"
+    R"("perf_scenario":"*1:0:-:page=4x131072;"})";
+
+TEST(OneRunPath, PageAndScenarioFormsDifferOnlyInWhatTheyRecord) {
+  const CompareOptions opts;
+  obs::JsonLinesSink page_sink;
+  obs::JsonLinesSink scn_sink;
+  obs::MetricsRegistry page_metrics;
+  obs::MetricsRegistry scn_metrics;
+  const RunObserver page_obs{&page_sink, &page_metrics, "quic."};
+  const RunObserver scn_obs{&scn_sink, &scn_metrics, "quic."};
+  quic::TokenCache page_tokens;
+  quic::TokenCache scn_tokens;
+  const auto plt = run_quic_page_load(lossy_scenario(), {4, 131072}, opts,
+                                      page_tokens, &page_obs);
+  const workload::ParseResult spec =
+      workload::parse_scenario("*1:0:-:page=4x131072;");
+  ASSERT_TRUE(spec.ok()) << spec.error;
+  const auto scn = run_quic_scenario(lossy_scenario(), *spec.spec, opts,
+                                     scn_tokens, &scn_obs);
+  ASSERT_TRUE(plt.has_value());
+  ASSERT_TRUE(scn.has_value());
+  EXPECT_EQ(*plt, scn->duration_s);
+  EXPECT_GT(page_metrics.counter("quic.server_declared_lost"), 0u);
+
+  // Same counters, except the scenario form's scn_* totals.
+  std::map<std::string, std::uint64_t> scn_counters;
+  for (const auto& [key, value] : scn_metrics.counters()) {
+    if (key.rfind("quic.scn_", 0) != 0) scn_counters[key] = value;
+  }
+  EXPECT_EQ(page_metrics.counters(), scn_counters);
+  EXPECT_EQ(scn_metrics.counter("quic.scn_transactions"), 4u);
+  EXPECT_EQ(scn_metrics.counter("quic.scn_download_bytes"), 4u * 131072);
+
+  // Same trace between the run:start header and the run:metrics footer.
+  const std::vector<std::string> page_lines = split_lines(page_sink.text());
+  const std::vector<std::string> scn_lines = split_lines(scn_sink.text());
+  ASSERT_EQ(page_lines.size(), scn_lines.size());
+  EXPECT_EQ(page_lines.front(), kGoldenPageStart);
+  EXPECT_EQ(scn_lines.front(), kGoldenScenarioStart);
+  for (std::size_t i = 1; i + 1 < page_lines.size(); ++i) {
+    EXPECT_EQ(page_lines[i], scn_lines[i]) << "trace line " << i;
+  }
+
+  // A page cell records no scenario totals.
+  CompareOptions cell_opts;
+  cell_opts.rounds = 2;
+  const CellResult cell = compare_plt(lossy_scenario(), {4, 131072}, cell_opts);
+  EXPECT_EQ(cell.metrics.counter("quic.runs"), 2u);
+  EXPECT_EQ(cell.metrics.to_json().find("scn_"), std::string::npos);
 }
 
 // --- Sweep artifacts: byte-identical at any LL_JOBS ----------------------

@@ -5,8 +5,8 @@
 
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
+#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -29,12 +29,13 @@ struct Fixture {
     http::QuicClientSession session(tb->sim(), tb->client_host(),
                                     tb->server_host().address(), kQuicPort,
                                     cfg, tokens);
-    http::PageLoader loader(tb->sim(), session, {objects, bytes});
+    const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
+    workload::ScenarioRunner loader(tb->sim(), session, page);
     loader.start();
     if (!tb->run_until([&] { return loader.finished(); }, seconds(120))) {
       return std::nullopt;
     }
-    return to_seconds(loader.result().plt);
+    return to_seconds(loader.result().duration);
   }
 };
 
@@ -98,7 +99,8 @@ TEST(QuicHandshake, NoDataLeavesBeforeHandshakePermitsIt) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 1024});
+  const workload::ScenarioSpec page = workload::page_spec({1, 1024});
+  workload::ScenarioRunner loader(f.tb->sim(), session, page);
   loader.start();
   f.tb->sim().run_until(TimePoint{} + milliseconds(30));
   auto* sc = f.server->server().latest_connection();
@@ -114,7 +116,8 @@ TEST(QuicHandshake, ZeroRttDataArrivesWithFirstFlight) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 1024});
+  const workload::ScenarioSpec page = workload::page_spec({1, 1024});
+  workload::ScenarioRunner loader(f.tb->sim(), session, page);
   const TimePoint start = f.tb->sim().now();
   loader.start();
   ASSERT_TRUE(f.tb->run_until([&] { return loader.finished(); }, seconds(10)));
@@ -141,7 +144,9 @@ TEST(QuicConnectionApi, CloseStopsTraffic) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {1, 10 * 1024 * 1024});
+  const workload::ScenarioSpec page =
+      workload::page_spec({1, 10 * 1024 * 1024});
+  workload::ScenarioRunner loader(f.tb->sim(), session, page);
   loader.start();
   f.tb->sim().run_until(TimePoint{} + milliseconds(200));
   session.connection().close();
@@ -167,11 +172,12 @@ TEST(QuicConnectionApi, DuplicatePacketsDoNotDuplicateData) {
   http::QuicClientSession session(f.tb->sim(), f.tb->client_host(),
                                   f.tb->server_host().address(), kQuicPort,
                                   {}, f.tokens);
-  http::PageLoader loader(f.tb->sim(), session, {3, 50 * 1024});
+  const workload::ScenarioSpec page = workload::page_spec({3, 50 * 1024});
+  workload::ScenarioRunner loader(f.tb->sim(), session, page);
   loader.start();
   ASSERT_TRUE(f.tb->run_until([&] { return loader.finished(); }, seconds(300)));
-  for (const auto& obj : loader.result().objects) {
-    EXPECT_EQ(obj.bytes_received, 50u * 1024);  // exactly once, no more
+  for (const auto& obj : loader.result().detail) {
+    EXPECT_EQ(obj.download_bytes, 50u * 1024);  // exactly once, no more
   }
 }
 

@@ -8,12 +8,12 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "harness/perf.h"
 #include "harness/testbed.h"
 #include "http/object_service.h"
-#include "http/page_loader.h"
 #include "http/quic_session.h"
 #include "util/rng.h"
 #include "workload/executor.h"
@@ -166,6 +166,14 @@ TEST(ScenarioRoundTrip, FormatParsesBackToIdenticalAst) {
   }
 }
 
+TEST(ScenarioParser, PageSpecIsTheOneEntryPageScenario) {
+  const ScenarioSpec spec = page_spec({4, 131072});
+  EXPECT_EQ(spec.format(), "*1:0:-:page=4x131072;");
+  const ParseResult parsed = parse_scenario("*1:0:-:page=4x131072;");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(spec, *parsed.spec);
+}
+
 TEST(ScenarioRoundTrip, NamedPageRefsSurviveFormatting) {
   const ParseResult r = parse_scenario("*1:0:-:page=small;*1:1:0:5:6;");
   ASSERT_TRUE(r.ok());
@@ -270,11 +278,11 @@ TEST(ObjectServicePerf, ZeroUploadRespondsAtFin) {
   EXPECT_EQ(stream.bytes_written, 7u);
 }
 
-// --- PageLoader hardening ---------------------------------------------------
+// --- Page-load hardening ----------------------------------------------------
 
-// A session that advertises capacity but cannot open streams: the loader
-// must bail out of its issue loop instead of spinning (pre-fix: infinite
-// loop in issue_requests).
+// A session that advertises capacity but cannot open streams: a page load
+// must bail out of its issue loop instead of spinning (an infinite-loop
+// regression the page-load driver once shipped).
 class StuckSession : public ClientSession {
  public:
   void connect(std::function<void()> on_ready) override { on_ready(); }
@@ -287,9 +295,11 @@ class StuckSession : public ClientSession {
 TEST(PageLoaderHardening, NullStreamWithFreeSlotDoesNotSpin) {
   Simulator sim;
   StuckSession session;
-  PageLoader loader(sim, session, {3, 100});
-  loader.start();  // pre-fix: never returns
+  const workload::ScenarioSpec page = workload::page_spec({3, 100});
+  workload::ScenarioRunner loader(sim, session, page);
+  loader.start();  // a spinning issue loop never returns
   EXPECT_FALSE(loader.finished());
+  EXPECT_TRUE(loader.result().detail.empty());
 }
 
 }  // namespace
@@ -299,6 +309,18 @@ namespace longlook::workload {
 namespace {
 
 // --- Executor over a synchronous fake session -------------------------------
+
+// The runner keeps a reference to its spec, so building one from a
+// temporary (e.g. `ScenarioRunner r(sim, session, page_spec(...))`) would
+// dangle; it must not compile.
+static_assert(!std::is_constructible_v<ScenarioRunner, Simulator&,
+                                       http::ClientSession&, ScenarioSpec&&>);
+static_assert(!std::is_constructible_v<ScenarioRunner, Simulator&,
+                                       http::ClientSession&,
+                                       const ScenarioSpec&&>);
+static_assert(std::is_constructible_v<ScenarioRunner, Simulator&,
+                                      http::ClientSession&,
+                                      const ScenarioSpec&>);
 
 // Streams that deliver the whole response (1 byte + fin) synchronously
 // inside write(): every completion — including the parent completion that

@@ -10,7 +10,6 @@ literals. See docs/static_analysis.md for the rule catalog and the
 
 from .engine import (  # noqa: F401
     ALL_RULE_NAMES,
-    LEGACY_RULE_NAMES,
     AnalysisError,
     Finding,
     analyze_paths,

@@ -27,10 +27,9 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Set, Tuple)
 
 from .lexer import Comment, tokenize
-from .rules import ALL_RULES, LEGACY_RULES, RULES_BY_NAME, Rule
+from .rules import ALL_RULES, RULES_BY_NAME, Rule
 
 ALL_RULE_NAMES = tuple(r.name for r in ALL_RULES)
-LEGACY_RULE_NAMES = tuple(r.name for r in LEGACY_RULES)
 
 _SOURCE_SUFFIXES = (".cc", ".cpp", ".cxx", ".h", ".hpp", ".hh")
 
@@ -45,7 +44,7 @@ _SKIP_COMPONENT = re.compile(r"^(build.*|\.git|_deps|\.cache)$")
 # Fixture trees are intentionally full of findings; they are skipped by
 # directory walks and only analyzed when a CLI argument points inside them
 # (which is exactly what the self-tests do).
-_FIXTURE_FRAGMENTS = ("tools/lint_fixtures", "tools/analysis/fixtures",
+_FIXTURE_FRAGMENTS = ("tools/analysis/fixtures",
                       "tools/analysis/ast/fixtures",
                       "tools/analysis/ipa/fixtures")
 
@@ -186,8 +185,8 @@ def analyze_file(
     lines = text.splitlines()
     tokens, comments = tokenize(text)
     # Suppressions must name *any* known rule (any layer), not just the
-    # active subset, so a legacy-only run (the lint shim) doesn't choke on
-    # suppressions for newer or AST-layer rules.
+    # active subset, so a `--rules` run doesn't choke on suppressions for
+    # other or AST-layer rules.
     suppressions = _parse_suppressions(
         comments, tokens, rel, _known_rule_names())
     findings: List[Finding] = []
@@ -250,7 +249,7 @@ def _check_allowed(root: Path, arg: Path) -> None:
 
 
 def _load_allowlist(path: Path) -> List[Tuple[str, str, Optional[str]]]:
-    """tools/lint_allowlist.txt: '<rule> <path-substring> [<line-substr>]'."""
+    """--allowlist FILE: '<rule> <path-substring> [<line-substr>]'."""
     entries = []
     if not path.is_file():
         return entries
@@ -325,8 +324,8 @@ def check_stale_allowlist(
 ) -> None:
     """Hard-errors on entries whose rule was active this run yet matched
     nothing — stale suppressions must not rot silently. Entries for rules
-    outside the active set (e.g. semantic-rule entries during a
-    --legacy-only lint run) are left alone. When the caller passes the
+    outside the active set (e.g. other rules' entries during a `--rules`
+    run) are left alone. When the caller passes the
     scanned (rel, fs_path) list, each stale entry's message pins the
     file:line its fragment last matched, so the reporter can tell "code
     deleted" from "rule stopped firing" without a manual grep."""
@@ -417,8 +416,6 @@ def main(argv: Sequence[str]) -> int:
                       file=sys.stderr)
                 return 2
             rule_filter = [RULES_BY_NAME[x] for x in names]
-        elif a == "--legacy-only":
-            rule_filter = list(LEGACY_RULES)
         elif a == "--allowlist":
             i += 1
             if i >= len(args):
@@ -432,7 +429,7 @@ def main(argv: Sequence[str]) -> int:
         elif a in ("-h", "--help"):
             print(__doc__)
             print("usage: run_analysis.py [--json OUT] [--rules a,b] "
-                  "[--legacy-only] [--allowlist FILE] PATH...")
+                  "[--allowlist FILE] PATH...")
             return 0
         elif a.startswith("-"):
             print(f"unknown option: {a}", file=sys.stderr)

@@ -1,4 +1,4 @@
-// Lint fixture: direct stdio in a sink-enforced layer (path contains
+// Analyzer fixture: direct stdio in a sink-enforced layer (path contains
 // "cc/"). Every line below must trip the direct-io rule; the comment
 // mentioning printf() must not.
 #include <cstdio>

@@ -1,8 +1,8 @@
-// Lint self-test fixture: one deliberate violation of EVERY lint rule.
-// Never compiled, never linted by CI's real lint run (which covers src/);
-// tools/lint_selftest.py asserts lint.py flags each line below. The
-// "harness/" path component is load-bearing: it puts this file in an
-// order-sensitive layer so unordered-in-report fires.
+// Analyzer self-test fixture: one deliberate violation of every
+// determinism rule. Never compiled, and skipped by directory walks over
+// the source roots; tests/test_analysis_selftest.py pins the findings on
+// each line below. The "harness/" path component is load-bearing: it puts
+// this file in an order-sensitive layer so unordered-in-report fires.
 #include <chrono>
 #include <cstdlib>
 #include <map>

@@ -1,6 +1,7 @@
-// Lint self-test fixture: idiomatic longlook code that must produce ZERO
-// findings. Includes near-misses that a sloppy rule would flag:
-//  * violations inside comments (the linter strips comments first);
+// Analyzer self-test fixture: idiomatic longlook code that must produce
+// ZERO findings. Includes near-misses that a sloppy determinism rule would
+// flag:
+//  * violations inside comments (the lexer strips comments first);
 //  * ordered containers with pointer VALUES (only pointer KEYS iterate in
 //    allocation order);
 //  * initialized POD members.
