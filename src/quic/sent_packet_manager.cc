@@ -17,17 +17,27 @@ void SentPacketManager::on_packet_sent(PacketNumber pn, std::size_t bytes,
   // so they don't count as in flight.
   info.in_flight = retransmittable;
   info.data = std::move(data);
-  largest_sent_ = std::max(largest_sent_, pn);
-  if (retransmittable) {
-    last_retransmittable_sent_ = now;
-    bytes_in_flight_ += bytes;
-  }
   // Packet numbers are never reused: a duplicate would corrupt the in-flight
   // accounting and every loss-detection decision downstream. (Delayed
   // ack-emission means pn may arrive here out of order, so uniqueness — not
   // monotonicity — is the invariant.)
-  const bool inserted = packets_.emplace(pn, std::move(info)).second;
-  LL_INVARIANT(inserted) << "packet number " << pn << " reused";
+  const std::size_t tracked = packets_.size();
+  packets_.emplace_hint(packets_.end(), pn, std::move(info));
+  LL_INVARIANT(packets_.size() > tracked)
+      << "packet number " << pn << " reused";
+  const PacketNumber prior_largest = largest_sent_;
+  largest_sent_ = std::max(largest_sent_, pn);
+  if (!retransmittable) return;
+  // A retransmittable packet is sent the moment it is numbered, so it is
+  // the newest packet number yet and no older than any retransmittable
+  // packet before it. The stale-loss GC in on_ack stops early on this.
+  LL_INVARIANT(pn > prior_largest && now >= last_retransmittable_sent_)
+      << "retransmittable pn " << pn << " sent out of order (largest sent "
+      << prior_largest << ")";
+  last_retransmittable_sent_ = now;
+  bytes_in_flight_ += bytes;
+  if (in_flight_count_ + lost_count_ == 0) floor_ = pn;
+  ++in_flight_count_;
 }
 
 Duration SentPacketManager::loss_delay(const RttEstimator& rtt) const {
@@ -43,13 +53,14 @@ Duration SentPacketManager::loss_delay(const RttEstimator& rtt) const {
   return std::max({Duration(ns), var_guard, milliseconds(1)});
 }
 
-void SentPacketManager::declare_lost(
-    std::map<PacketNumber, SentPacketInfo>::iterator it,
-    AckProcessResult& out) {
+void SentPacketManager::declare_lost(PacketMap::iterator it,
+                                     AckProcessResult& out) {
   SentPacketInfo& info = it->second;
   if (info.declared_lost || !info.in_flight) return;
   info.declared_lost = true;
   info.in_flight = false;
+  --in_flight_count_;
+  ++lost_count_;
   LL_INVARIANT(bytes_in_flight_ >= info.bytes)
       << "in-flight underflow declaring pn " << it->first << " lost ("
       << bytes_in_flight_ << " < " << info.bytes << ")";
@@ -114,6 +125,7 @@ AckProcessResult SentPacketManager::on_ack(const AckFrame& ack, TimePoint now,
         for (const StreamDataRef& ref : info.data) {
           out.spurious_data.push_back(ref);
         }
+        --lost_count_;
         it = packets_.erase(it);
         continue;
       }
@@ -122,6 +134,7 @@ AckProcessResult SentPacketManager::on_ack(const AckFrame& ack, TimePoint now,
             << "in-flight underflow acking pn " << it->first;
         bytes_in_flight_ -= info.bytes;
         info.in_flight = false;
+        --in_flight_count_;
       }
       out.acked.push_back({it->first, info.bytes, info.sent_time});
       out.largest_newly_acked = std::max(out.largest_newly_acked, it->first);
@@ -162,26 +175,62 @@ AckProcessResult SentPacketManager::on_ack(const AckFrame& ack, TimePoint now,
   }
 
   // 3. Garbage-collect stale lost entries (no late ACK within ~2 RTOs).
+  // Retransmittable send times never decrease as the packet number grows,
+  // so the sweep starts at the floor (only ack-only entries lie below it)
+  // and ends at the first retransmittable entry still inside the window.
   const Duration keep = 2 * rtt.retransmission_timeout();
-  for (auto it = packets_.begin(); it != packets_.end();) {
-    if (it->second.declared_lost && now - it->second.sent_time > keep) {
+  for (auto it = packets_.lower_bound(floor_);
+       lost_count_ > 0 && it != packets_.end();) {
+    const SentPacketInfo& info = it->second;
+    if (info.retransmittable && now - info.sent_time <= keep) break;
+    if (info.declared_lost) {
+      --lost_count_;
       it = packets_.erase(it);
     } else {
       ++it;
     }
   }
+  advance_floor();
   LL_DCHECK(in_flight_accounting_consistent())
       << "bytes_in_flight_ diverged from per-packet state after ACK of "
       << ack.largest_acked;
   return out;
 }
 
+void SentPacketManager::advance_floor() {
+  if (in_flight_count_ + lost_count_ == 0) return;
+  auto it = packets_.lower_bound(floor_);
+  while (it != packets_.end() && !it->second.in_flight &&
+         !it->second.declared_lost) {
+    ++it;
+  }
+  if (it != packets_.end()) floor_ = it->first;
+}
+
 bool SentPacketManager::in_flight_accounting_consistent() const {
   std::size_t sum = 0;
+  std::size_t in_flight = 0;
+  std::size_t lost = 0;
+  std::optional<PacketNumber> least;
+  std::optional<TimePoint> last_sent;
   for (const auto& [pn, info] : packets_) {
-    if (info.in_flight) sum += info.bytes;
+    const bool tracked = info.in_flight || info.declared_lost;
+    if (info.in_flight && info.declared_lost) return false;
+    if (tracked != info.retransmittable) return false;
+    if (!tracked) continue;
+    if (pn < floor_) return false;
+    if (last_sent && info.sent_time < *last_sent) return false;
+    last_sent = info.sent_time;
+    if (!least) least = pn;
+    if (info.in_flight) {
+      sum += info.bytes;
+      ++in_flight;
+    } else {
+      ++lost;
+    }
   }
-  return sum == bytes_in_flight_;
+  return sum == bytes_in_flight_ && in_flight == in_flight_count_ &&
+         lost == lost_count_ && (!least || *least == floor_);
 }
 
 std::optional<TimePoint> SentPacketManager::earliest_loss_time(
@@ -189,31 +238,31 @@ std::optional<TimePoint> SentPacketManager::earliest_loss_time(
   if (config_.mode != LossDetectionMode::kTimeThreshold || !rtt.has_samples()) {
     return std::nullopt;
   }
-  std::optional<TimePoint> earliest;
-  const Duration delay = loss_delay(rtt);
-  for (const auto& [pn, info] : packets_) {
-    if (pn >= largest_acked_) break;
-    if (info.declared_lost || !info.retransmittable || !info.in_flight) {
-      continue;
-    }
-    const TimePoint t = info.sent_time + delay;
-    if (!earliest || t < *earliest) earliest = t;
+  // Send times never decrease with the packet number, so the first
+  // in-flight packet below largest_acked_ is the first to expire.
+  if (in_flight_count_ == 0) return std::nullopt;
+  for (auto it = packets_.lower_bound(floor_);
+       it != packets_.end() && it->first < largest_acked_; ++it) {
+    if (it->second.in_flight) return it->second.sent_time + loss_delay(rtt);
   }
-  return earliest;
+  return std::nullopt;
 }
 
 AckProcessResult SentPacketManager::detect_time_losses(
     TimePoint now, const RttEstimator& rtt) {
   AckProcessResult out;
   if (config_.mode != LossDetectionMode::kTimeThreshold) return out;
+  // As in earliest_loss_time: once one in-flight packet is too young, so
+  // are all the ones after it.
   const Duration delay = loss_delay(rtt);
-  for (auto it = packets_.begin();
-       it != packets_.end() && it->first < largest_acked_; ++it) {
-    SentPacketInfo& info = it->second;
-    if (info.declared_lost || !info.retransmittable || !info.in_flight) {
-      continue;
-    }
-    if (now - info.sent_time >= delay) declare_lost(it, out);
+  for (auto it = packets_.lower_bound(floor_);
+       in_flight_count_ > 0 && it != packets_.end() &&
+       it->first < largest_acked_;
+       ++it) {
+    const SentPacketInfo& info = it->second;
+    if (!info.in_flight) continue;
+    if (now - info.sent_time < delay) break;
+    declare_lost(it, out);
   }
   return out;
 }
@@ -224,6 +273,8 @@ std::vector<StreamDataRef> SentPacketManager::on_retransmission_timeout() {
     if (!info.in_flight) continue;
     info.in_flight = false;
     info.declared_lost = true;
+    --in_flight_count_;
+    ++lost_count_;
     LL_INVARIANT(bytes_in_flight_ >= info.bytes)
         << "in-flight underflow on RTO for pn " << pn;
     bytes_in_flight_ -= info.bytes;
@@ -245,30 +296,13 @@ std::vector<StreamDataRef> SentPacketManager::tail_loss_probe_data() const {
   return {};
 }
 
-bool SentPacketManager::has_retransmittable_in_flight() const {
-  for (const auto& [pn, info] : packets_) {
-    if (info.retransmittable && info.in_flight) return true;
-  }
-  return false;
-}
-
-TimePoint SentPacketManager::oldest_in_flight_sent_time() const {
-  for (const auto& [pn, info] : packets_) {
-    if (info.in_flight && info.retransmittable) return info.sent_time;
-  }
-  return TimePoint{};
-}
-
 PacketNumber SentPacketManager::least_unacked() const {
   // Declared-lost entries are deliberately kept until a late ACK can render
   // a verdict (spurious or genuine). They are still unacked: advancing
   // STOP_WAITING past them would make the peer purge exactly the ack ranges
   // whose late arrival reveals the reordering, so the adaptive NACK
   // threshold could never deepen.
-  for (const auto& [pn, info] : packets_) {
-    if (info.in_flight || info.declared_lost) return pn;
-  }
-  return largest_sent_ + 1;
+  return in_flight_count_ + lost_count_ == 0 ? largest_sent_ + 1 : floor_;
 }
 
 }  // namespace longlook::quic

@@ -90,8 +90,7 @@ class SentPacketManager {
   std::vector<StreamDataRef> tail_loss_probe_data() const;
 
   std::size_t bytes_in_flight() const { return bytes_in_flight_; }
-  bool has_retransmittable_in_flight() const;
-  TimePoint oldest_in_flight_sent_time() const;
+  bool has_retransmittable_in_flight() const { return in_flight_count_ > 0; }
   TimePoint last_retransmittable_sent_time() const {
     return last_retransmittable_sent_;
   }
@@ -109,17 +108,30 @@ class SentPacketManager {
   std::uint64_t total_spurious_losses() const { return spurious_losses_; }
 
  private:
-  void declare_lost(std::map<PacketNumber, SentPacketInfo>::iterator it,
-                    AckProcessResult& out);
+  using PacketMap = std::map<PacketNumber, SentPacketInfo>;
+
+  void declare_lost(PacketMap::iterator it, AckProcessResult& out);
   Duration loss_delay(const RttEstimator& rtt) const;
-  // bytes_in_flight_ equals the sum over tracked in-flight packets (O(n),
+  // Moves floor_ up to the least entry that is in flight or declared lost.
+  void advance_floor();
+  // bytes_in_flight_, the two counts and floor_ match a scan of packets_,
+  // and retransmittable send times are ordered by packet number (O(n),
   // LL_DCHECK-only).
   bool in_flight_accounting_consistent() const;
 
   LossDetectionConfig config_;
   std::size_t nack_threshold_{config_.nack_threshold};
-  std::map<PacketNumber, SentPacketInfo> packets_;
+  // Every retransmittable entry is either in flight or declared lost until
+  // it is erased; ack-only entries are neither.
+  PacketMap packets_;
   std::size_t bytes_in_flight_ = 0;
+  std::size_t in_flight_count_ = 0;
+  std::size_t lost_count_ = 0;
+  // Only ack-only entries lie below floor_. While either count is non-zero
+  // it is the least in-flight or declared-lost packet number, which is what
+  // least_unacked() reports. It only moves forward, so it steps over each
+  // ack-only entry at most once.
+  PacketNumber floor_ = 0;
   PacketNumber largest_sent_ = 0;
   PacketNumber largest_acked_ = 0;
   TimePoint largest_acked_sent_time_{};

@@ -201,9 +201,9 @@ void TcpConnection::transmit(TcpSegment&& seg) {
 }
 
 std::uint64_t TcpConnection::advertised_window() const {
-  std::size_t buffered = 0;
-  for (const auto& [off, chunk] : reassembly_) buffered += chunk.size();
-  return buffered >= config_.recv_buffer ? 0 : config_.recv_buffer - buffered;
+  return reassembly_bytes_ >= config_.recv_buffer
+             ? 0
+             : config_.recv_buffer - reassembly_bytes_;
 }
 
 // --- Send path ---------------------------------------------------------------
@@ -377,25 +377,15 @@ void TcpConnection::update_reordering(std::uint64_t newly_acked_start,
   }
 }
 
-void TcpConnection::check_sack_scoreboard() const {
-  // O(n) scoreboard self-check (armed in sanitizer builds): blocks are
-  // sorted, disjoint, non-empty, above the cumulative ACK point, and below
-  // the reorder-tracking high-water mark.
+bool TcpConnection::sack_scoreboard_consistent() const {
   std::uint64_t prev_end = 0;
   for (const SackBlock& b : sacked_) {
-    LL_DCHECK(b.end > b.start)
-        << "empty SACK block [" << b.start << "," << b.end << ")";
-    LL_DCHECK(b.end > snd_una_)
-        << "SACK block [" << b.start << "," << b.end << ") below snd_una="
-        << snd_una_;
-    LL_DCHECK(b.start > prev_end || prev_end == 0)
-        << "SACK blocks overlap or touch: prev_end=" << prev_end
-        << " next=[" << b.start << "," << b.end << ")";
-    LL_DCHECK(highest_sacked_ >= b.end)
-        << "highest_sacked=" << highest_sacked_ << " below block end "
-        << b.end;
+    if (b.end <= b.start || b.end <= snd_una_) return false;
+    if (prev_end != 0 && b.start <= prev_end) return false;  // overlap/touch
+    if (highest_sacked_ < b.end) return false;
     prev_end = b.end;
   }
+  return true;
 }
 
 void TcpConnection::merge_sack(const std::vector<SackBlock>& blocks,
@@ -441,22 +431,25 @@ void TcpConnection::merge_sack(const std::vector<SackBlock>& blocks,
     }
     if (!merged) sacked_.push_back(nb);
   }
-  // Normalise: sort + merge overlaps + drop below una.
+  // Normalise in place: sort, drop blocks below una, merge overlaps.
   std::sort(sacked_.begin(), sacked_.end(),
             [](const SackBlock& a, const SackBlock& b) {
               return a.start < b.start;
             });
-  std::vector<SackBlock> merged;
+  std::size_t kept = 0;
   for (const SackBlock& b : sacked_) {
     if (b.end <= snd_una_) continue;
-    if (!merged.empty() && b.start <= merged.back().end) {
-      merged.back().end = std::max(merged.back().end, b.end);
+    if (kept > 0 && b.start <= sacked_[kept - 1].end) {
+      sacked_[kept - 1].end = std::max(sacked_[kept - 1].end, b.end);
     } else {
-      merged.push_back(b);
+      sacked_[kept++] = b;
     }
   }
-  sacked_ = std::move(merged);
-  check_sack_scoreboard();
+  sacked_.resize(kept);
+  LL_DCHECK(sack_scoreboard_consistent())
+      << "SACK scoreboard corrupt: " << sacked_.size()
+      << " blocks, snd_una=" << snd_una_
+      << " highest_sacked=" << highest_sacked_;
 }
 
 void TcpConnection::enter_recovery(TimePoint now, std::uint64_t hole_offset) {
@@ -632,15 +625,46 @@ void TcpConnection::process_payload(const TcpSegment& seg, TimePoint now) {
                  data.begin() + static_cast<std::ptrdiff_t>(rcv_nxt_ - start));
       start = rcv_nxt_;
     }
-    auto it = reassembly_.find(start);
-    if (it == reassembly_.end() || it->second.size() < data.size()) {
-      reassembly_[start] = std::move(data);
+    auto [it, inserted] = reassembly_.try_emplace(start);
+    if (inserted || it->second.size() < data.size()) {
+      reassembly_bytes_ += data.size() - it->second.size();
+      it->second = std::move(data);
+      // A new chunk can start a block; a new or longer chunk can join or
+      // split off its successor.
+      index_block_start(it);
+      index_block_start(std::next(it));
     } else if (config_.dsack_enabled) {
       dsack_report = SackBlock{seg.seq, seg_end};
     }
     deliver_in_order();
   }
+  LL_DCHECK(reassembly_consistent())
+      << "reassembly index diverged: " << reassembly_.size() << " chunks, "
+      << reassembly_bytes_ << " bytes, " << block_starts_.size()
+      << " block starts";
   maybe_send_ack(out_of_order || !reassembly_.empty(), dsack_report);
+}
+
+void TcpConnection::index_block_start(ReassemblyMap::iterator it) {
+  if (it == reassembly_.end() || it == reassembly_.begin()) return;
+  const auto& [prev_off, prev_chunk] = *std::prev(it);
+  if (prev_off + prev_chunk.size() != it->first) {
+    block_starts_.insert(it->first);
+  } else {
+    block_starts_.erase(it->first);
+  }
+}
+
+bool TcpConnection::reassembly_consistent() const {
+  std::size_t bytes = 0;
+  std::set<std::uint64_t> starts;
+  std::optional<std::uint64_t> prev_end;
+  for (const auto& [off, chunk] : reassembly_) {
+    bytes += chunk.size();
+    if (prev_end && *prev_end != off) starts.insert(off);
+    prev_end = off + chunk.size();
+  }
+  return bytes == reassembly_bytes_ && starts == block_starts_;
 }
 
 void TcpConnection::deliver_in_order() {
@@ -649,7 +673,10 @@ void TcpConnection::deliver_in_order() {
     if (it == reassembly_.end() || it->first > rcv_nxt_) break;
     Bytes chunk = std::move(it->second);
     const std::uint64_t start = it->first;
+    reassembly_bytes_ -= chunk.size();
     reassembly_.erase(it);
+    // The new first chunk starts a block without being indexed.
+    if (!reassembly_.empty()) block_starts_.erase(reassembly_.begin()->first);
     if (start + chunk.size() <= rcv_nxt_) continue;
     const std::size_t skip = static_cast<std::size_t>(rcv_nxt_ - start);
     BytesView fresh = BytesView(chunk).subspan(skip);
@@ -690,20 +717,20 @@ void TcpConnection::deliver_in_order() {
 
 std::vector<SackBlock> TcpConnection::build_sack_blocks() const {
   if (!config_.sack_enabled) return {};
+  // The three highest-offset non-empty blocks, in ascending order. A block
+  // runs from its start chunk to the chunk before the next block start.
   std::vector<SackBlock> blocks;
-  SackBlock current{0, 0};
-  for (const auto& [off, chunk] : reassembly_) {
-    if (current.end == off) {
-      current.end = off + chunk.size();
-    } else {
-      if (current.end > current.start) blocks.push_back(current);
-      current = {off, off + chunk.size()};
-    }
+  auto next_start = reassembly_.end();
+  auto s = block_starts_.rbegin();
+  while (blocks.size() < 3 && next_start != reassembly_.begin()) {
+    const auto start = s != block_starts_.rend() ? reassembly_.find(*s++)
+                                                 : reassembly_.begin();
+    const auto& [last_off, last_chunk] = *std::prev(next_start);
+    const SackBlock block{start->first, last_off + last_chunk.size()};
+    if (block.end > block.start) blocks.push_back(block);
+    next_start = start;
   }
-  if (current.end > current.start) blocks.push_back(current);
-  if (blocks.size() > 3) {
-    blocks.erase(blocks.begin(), blocks.end() - 3);  // most recent 3
-  }
+  std::reverse(blocks.begin(), blocks.end());
   return blocks;
 }
 

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "cc/cubic_sender.h"
 #include "cc/rtt_estimator.h"
@@ -152,7 +153,9 @@ class TcpConnection : public obs::Sampleable {
 
   void process_ack(const TcpSegment& seg, TimePoint now);
   void merge_sack(const std::vector<SackBlock>& blocks, bool dsack);
-  void check_sack_scoreboard() const;
+  // Scoreboard blocks are sorted, disjoint, non-empty, above snd_una_ and
+  // at most highest_sacked_ (O(n), LL_DCHECK-only).
+  bool sack_scoreboard_consistent() const;
   std::size_t sacked_bytes_in_flight() const;
   std::size_t bytes_in_flight() const;
   std::size_t lost_not_retransmitted_bytes() const;
@@ -162,8 +165,15 @@ class TcpConnection : public obs::Sampleable {
   void update_reordering(std::uint64_t newly_acked_start,
                          bool any_retransmitted);
 
+  using ReassemblyMap = std::map<std::uint64_t, Bytes>;
+
   void process_payload(const TcpSegment& seg, TimePoint now);
   void deliver_in_order();
+  // Re-derives whether the chunk at `it` starts a SACK block.
+  void index_block_start(ReassemblyMap::iterator it);
+  // reassembly_bytes_ and block_starts_ match a scan of reassembly_ (O(n),
+  // LL_DCHECK-only).
+  bool reassembly_consistent() const;
   void maybe_send_ack(bool out_of_order, std::optional<SackBlock> dsack);
   std::vector<SackBlock> build_sack_blocks() const;
   std::uint64_t advertised_window() const;
@@ -225,7 +235,13 @@ class TcpConnection : public obs::Sampleable {
   TimePoint last_rto_at_{};
 
   // --- Receive side ---
-  std::map<std::uint64_t, Bytes> reassembly_;
+  ReassemblyMap reassembly_;  // out-of-order chunks by start offset
+  std::size_t reassembly_bytes_ = 0;  // sum of reassembly_ chunk sizes
+  // Offsets of the chunks after the first that start a SACK block: those
+  // whose predecessor does not end exactly where they start (so a chunk
+  // overlapping its predecessor starts a block of its own). The first
+  // chunk always starts one.
+  std::set<std::uint64_t> block_starts_;
   std::uint64_t rcv_nxt_ = 0;
   std::optional<std::uint64_t> peer_fin_offset_;
   bool fin_delivered_ = false;

@@ -1,9 +1,15 @@
-// Unit tests: TCP segment wire format and configuration derivation.
-// (The connection state machine is exercised end-to-end in test_tcp_e2e.)
+// Unit tests: TCP segment wire format, configuration derivation, and the
+// receiver's SACK/window bookkeeping against a brute-force model. (The
+// connection state machine is exercised end-to-end in test_tcp_e2e.)
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <vector>
 
 #include "tcp/connection.h"
 #include "tcp/segment.h"
+#include "util/rng.h"
 
 namespace longlook::tcp {
 namespace {
@@ -107,8 +113,8 @@ struct LoneClient {
   Host host{sim, 1, "client"};
   TcpConnection conn;
 
-  LoneClient()
-      : conn(sim, host, plain_config(), /*peer=*/2, /*peer_port=*/443,
+  explicit LoneClient(const TcpConfig& cfg = plain_config())
+      : conn(sim, host, cfg, /*peer=*/2, /*peer_port=*/443,
              /*local_port=*/40000, /*is_client=*/true) {
     conn.connect([] {});
     TcpSegment syn_ack;
@@ -152,6 +158,150 @@ TEST(TcpInvariantDeathTest, ValidAckAndSackAreAccepted) {
   fine.sack = {{2920, 4380}};
   c.conn.on_segment(fine, c.sim.now());
   EXPECT_EQ(c.conn.stats().segments_received, 2u);  // SYN-ACK + this ACK
+}
+
+// --- Receiver SACK blocks and window ----------------------------------------
+
+// The receiver's out-of-order state kept the brute-force way: chunk lengths
+// by start offset, with the SACK blocks and the window recomputed by a full
+// scan whenever the connection emits a segment.
+struct ReassemblyModel {
+  std::map<std::uint64_t, std::size_t> chunks;
+  std::uint64_t rcv_nxt = 0;
+  int replaced = 0;  // chunks overwritten by a longer one at the same offset
+
+  void on_data(std::uint64_t seq, std::size_t len) {
+    const std::uint64_t end = seq + len;
+    if (end <= rcv_nxt) return;  // duplicate
+    const std::uint64_t start = std::max(seq, rcv_nxt);
+    const std::size_t size = static_cast<std::size_t>(end - start);
+    auto it = chunks.find(start);
+    if (it == chunks.end()) {
+      chunks[start] = size;
+    } else if (it->second < size) {
+      it->second = size;
+      ++replaced;
+    }
+    while (!chunks.empty() && chunks.begin()->first <= rcv_nxt) {
+      const auto [off, len] = *chunks.begin();
+      rcv_nxt = std::max(rcv_nxt, off + len);
+      chunks.erase(chunks.begin());
+    }
+  }
+
+  // A chunk continues the block before it only if it starts exactly where
+  // the previous chunk ended; the three highest-offset blocks are sent.
+  std::vector<SackBlock> sack_blocks() const {
+    std::vector<SackBlock> blocks;
+    SackBlock current{0, 0};
+    for (const auto& [off, len] : chunks) {
+      if (current.end == off) {
+        current.end = off + len;
+      } else {
+        if (current.end > current.start) blocks.push_back(current);
+        current = {off, off + len};
+      }
+    }
+    if (current.end > current.start) blocks.push_back(current);
+    if (blocks.size() > 3) blocks.erase(blocks.begin(), blocks.end() - 3);
+    return blocks;
+  }
+
+  std::uint64_t window(std::size_t recv_buffer) const {
+    std::size_t buffered = 0;
+    for (const auto& [off, len] : chunks) buffered += len;
+    return buffered >= recv_buffer ? 0 : recv_buffer - buffered;
+  }
+};
+
+TEST(TcpReceiver, SackBlocksAndWindowMatchBruteForce) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    TcpConfig cfg = plain_config();
+    cfg.recv_buffer = 24 * 1024;  // small enough for the window to hit 0
+    LoneClient c(cfg);
+    ASSERT_TRUE(c.conn.established());
+    Bytes received;
+    c.conn.set_on_data([&](BytesView data, bool) {
+      received.insert(received.end(), data.begin(), data.end());
+    });
+    std::vector<TcpSegment> emitted;
+    DirectionalLink wire(c.sim, LinkConfig{}, [](Packet&&) {});
+    wire.set_tap([&](LinkEvent kind, const Packet& p, TimePoint) {
+      if (kind != LinkEvent::kEnqueued) return;
+      if (auto seg = decode_segment(p.data)) emitted.push_back(*seg);
+    });
+    c.host.set_default_route(&wire);
+
+    // The stream (its last byte is the virtual FIN) cut into segments,
+    // then retransmissions re-cut from an original boundary (longer or
+    // shorter than the original), overlapping pieces from anywhere, and
+    // exact duplicates, all shuffled.
+    const std::uint64_t total = 20000 + rng.uniform_int(40000);
+    Bytes stream(static_cast<std::size_t>(total));
+    for (auto& b : stream) b = static_cast<std::uint8_t>(rng.next());
+    struct Piece {
+      std::uint64_t seq = 0;
+      std::uint64_t len = 0;
+    };
+    std::vector<Piece> pieces;
+    for (std::uint64_t off = 0; off < total;) {
+      const std::uint64_t len =
+          std::min(1 + rng.uniform_int(1460), total - off);
+      pieces.push_back({off, len});
+      off += len;
+    }
+    const std::size_t original = pieces.size();
+    for (std::size_t i = 0; i < original / 2; ++i) {
+      const std::uint64_t seq = rng.bernoulli(0.6)
+                                    ? pieces[rng.uniform_int(original)].seq
+                                    : rng.uniform_int(total);
+      pieces.push_back({seq, std::min(1 + rng.uniform_int(3000), total - seq)});
+    }
+    for (std::size_t i = 0; i < original / 4; ++i) {
+      pieces.push_back(pieces[rng.uniform_int(original)]);
+    }
+    for (std::size_t i = pieces.size(); i > 1; --i) {
+      std::swap(pieces[i - 1], pieces[rng.uniform_int(i)]);
+    }
+
+    ReassemblyModel model;
+    std::size_t checked = 0;
+    for (const Piece& p : pieces) {
+      TcpSegment seg;
+      seg.ack_flag = true;
+      seg.window = 64 * 1024;
+      seg.seq = p.seq;
+      seg.fin = p.seq + p.len == total;
+      const auto from = stream.begin() + static_cast<std::ptrdiff_t>(p.seq);
+      seg.payload.assign(from, from + static_cast<std::ptrdiff_t>(p.len));
+      c.conn.on_segment(seg, c.sim.now());
+      model.on_data(p.seq, static_cast<std::size_t>(p.len));
+      // Now and then let the delayed-ACK timer fire too.
+      if (rng.bernoulli(0.2)) c.sim.run_for(milliseconds(50));
+      for (TcpSegment& out : emitted) {
+        std::vector<SackBlock> sack = out.sack;
+        if (out.dsack) sack.erase(sack.begin());  // a report, not state
+        ASSERT_EQ(out.ack, model.rcv_nxt);
+        ASSERT_EQ(out.window, model.window(cfg.recv_buffer));
+        const std::vector<SackBlock> expected = model.sack_blocks();
+        ASSERT_EQ(sack.size(), expected.size())
+            << "at rcv_nxt " << model.rcv_nxt;
+        for (std::size_t i = 0; i < sack.size(); ++i) {
+          EXPECT_EQ(sack[i].start, expected[i].start) << "block " << i;
+          EXPECT_EQ(sack[i].end, expected[i].end) << "block " << i;
+        }
+        ++checked;
+      }
+      emitted.clear();
+    }
+    EXPECT_GT(checked, original);
+    EXPECT_GT(model.replaced, 0);
+    EXPECT_TRUE(c.conn.peer_fin_received());
+    stream.pop_back();  // the virtual FIN byte is not application data
+    EXPECT_EQ(received, stream);
+  }
 }
 
 }  // namespace
