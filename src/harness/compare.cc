@@ -93,7 +93,9 @@ void emit_run_start(obs::TraceSink& sink, const char* proto,
 // Folds the run's simulator/link work volume into the profiler shard. The
 // values themselves are deterministic (virtual-time bookkeeping); only the
 // wall-time histograms alongside them vary run to run.
-void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb) {
+template <typename Session, typename Server>
+void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb,
+                           Session& session, Server& server) {
   if (prof == nullptr) return;
   prof->add("runs", 1);
   prof->add("sim_events", tb.sim().dispatched_events());
@@ -108,6 +110,14 @@ void fold_profile_counters(obs::ProfilerShard* prof, Testbed& tb) {
   // with hard floors in CI (tools/bench_report.py perf-floor).
   prof->add("sim_event_pool_slots", tb.sim().event_pool_slots());
   prof->add("sim_callback_heap", tb.sim().callback_heap_allocs());
+  // Send-buffer high-water marks of the client connection and the server's
+  // latest one (each the most any one stream held), just as deterministic.
+  // A rise means acknowledged bytes stopped being freed.
+  std::uint64_t send_buffer_peak = session.connection().send_buffer_peak();
+  if (const auto* sc = server.server().latest_connection()) {
+    send_buffer_peak += sc->send_buffer_peak();
+  }
+  prof->add("send_buffer_peak_bytes", send_buffer_peak);
 }
 
 // Periodic `ts:` sampling opt-in: opts.sample_state, or LL_SAMPLE set to
@@ -297,7 +307,7 @@ std::optional<ScenarioRunStats> run_once(const Scenario& scenario,
       tb.run_until([&] { return runner.finished(); }, eff->timeout);
   const workload::ScenarioResult& res = runner.result();
   detail::emit_run_summary(sink, done, res.duration, tb.sim().now());
-  fold_profile_counters(prof, tb);
+  fold_profile_counters(prof, tb, session, server);
   fold_sampler_counters(prof, sampler ? &*sampler : nullptr, dumps_before);
   if (observer != nullptr) {
     fold_run_metrics(*observer, form, done, res, session, server, tb);

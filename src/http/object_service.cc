@@ -74,9 +74,12 @@ void ObjectService::serve(AppStream& stream, std::function<void()> flush) {
 void ObjectService::respond(AppStream& stream, std::size_t size,
                             const std::function<void()>& flush) {
   // Large bodies are produced incrementally against the transport's write
-  // backlog, like a real server sendfile loop — this bounds memory for the
-  // paper's 210 MB objects and keeps the sender busy without buffering the
-  // whole response.
+  // backlog, like a real server sendfile loop: the sender stays busy, and no
+  // more than about kBacklogLimit + kChunk bytes wait unsent. That bounds
+  // the send buffer for the paper's 210 MB objects only because both
+  // transports also free bytes once acknowledged (util::SendBuffer,
+  // DESIGN.md "Send-buffer ownership"); what they still hold is the
+  // backlog plus the bytes a retransmission may read.
   static constexpr std::size_t kChunk = 512 * 1024;
   static constexpr std::size_t kBacklogLimit = 2 * 1024 * 1024;
   auto do_respond = [this, &stream, size, flush] {

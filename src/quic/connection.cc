@@ -169,6 +169,14 @@ QuicStream* QuicConnection::stream(StreamId id) {
   return it == streams_.end() ? nullptr : it->second.get();
 }
 
+std::size_t QuicConnection::send_buffer_peak() const {
+  std::size_t peak = 0;
+  for (const auto& [id, s] : streams_) {
+    peak = std::max(peak, s->send_buffer_peak());
+  }
+  return peak;
+}
+
 std::uint64_t QuicConnection::connection_send_allowance() const {
   return conn_peer_max_ > conn_bytes_sent_ ? conn_peer_max_ - conn_bytes_sent_
                                            : 0;
@@ -372,12 +380,24 @@ void QuicConnection::handle_ack(const AckFrame& ack, TimePoint now) {
     }
   }
 
+  release_stream_data();
+
   if (!result.acked.empty()) {
     tlp_count_ = 0;
     consecutive_rto_ = 0;
   }
   cc_->on_congestion_event(now, prior_in_flight, result.acked, result.lost);
   set_retransmission_alarm();
+}
+
+void QuicConnection::release_stream_data() {
+  // The floor only moves on an ACK. Each entry leaves the queue once, so
+  // this is O(1) amortized per sent chunk.
+  const PacketNumber floor = spm_.least_unacked();
+  while (!chunk_packets_.empty() && chunk_packets_.front().pn < floor) {
+    chunk_packets_.front().stream->release_below(floor);
+    chunk_packets_.pop_front();
+  }
 }
 
 void QuicConnection::handle_stream(const StreamFrame& sf, TimePoint now) {
@@ -522,7 +542,7 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
   if (ack_manager_.ack_pending()) {
     AckFrame ack = ack_manager_.build_ack(now);
     StopWaitingFrame sw{spm_.least_unacked()};
-    const std::size_t need = frame_size(Frame{ack}) + frame_size(Frame{sw});
+    const std::size_t need = frame_size(ack) + frame_size(sw);
     if (need <= budget) {
       budget -= need;
       pkt.frames.emplace_back(std::move(ack));
@@ -532,7 +552,7 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
 
   while (!pending_handshake_frames_.empty()) {
     const HandshakeFrame& hs = pending_handshake_frames_.front();
-    const std::size_t need = frame_size(Frame{hs});
+    const std::size_t need = frame_size(hs);
     if (need > budget) break;
     budget -= need;
     sent_handshake_log_.push_back(hs);
@@ -546,7 +566,7 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
 
   while (!pending_window_updates_.empty()) {
     const WindowUpdateFrame& wu = pending_window_updates_.front();
-    const std::size_t need = frame_size(Frame{wu});
+    const std::size_t need = frame_size(wu);
     if (need > budget) break;
     budget -= need;
     StreamDataRef ref;
@@ -573,6 +593,8 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
       if (!chunk->is_retransmission) {
         conn_bytes_sent_ += chunk->data.size();
       }
+      s->on_chunk_sent(pkt.packet_number, chunk->offset);
+      chunk_packets_.push_back({pkt.packet_number, s});
       StreamDataRef ref;
       ref.stream_id = s->id();
       ref.offset = chunk->offset;
@@ -584,7 +606,7 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
       sf.offset = chunk->offset;
       sf.fin = chunk->fin;
       sf.data = std::move(chunk->data);
-      const std::size_t used = frame_size(Frame{sf});
+      const std::size_t used = frame_size(sf);
       budget = used <= budget ? budget - used : 0;
       pkt.frames.emplace_back(std::move(sf));
     }

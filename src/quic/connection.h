@@ -8,6 +8,7 @@
 // spurious-loss counters.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -137,6 +138,8 @@ class QuicConnection : public obs::Sampleable {
   std::size_t congestion_window() const { return cc_->congestion_window(); }
   std::size_t bytes_in_flight() const { return spm_.bytes_in_flight(); }
   QuicStream* stream(StreamId id);
+  // Highest byte count any one stream's send buffer held.
+  std::size_t send_buffer_peak() const;
   const QuicConfig& config() const { return config_; }
   BbrLite* bbr() { return bbr_; }
 
@@ -153,6 +156,9 @@ class QuicConnection : public obs::Sampleable {
   void process_frame(const Frame& frame, TimePoint now);
   void handle_handshake(const HandshakeFrame& hs, TimePoint now);
   void handle_ack(const AckFrame& ack, TimePoint now);
+  // Lets the streams of chunks sent below the floor (spm_.least_unacked())
+  // free bytes; see QuicStream::release_below.
+  void release_stream_data();
   void handle_stream(const StreamFrame& sf, TimePoint now);
   void on_consumed(StreamId sid, std::size_t bytes);
   void on_established(std::size_t peer_window);
@@ -224,6 +230,13 @@ class QuicConnection : public obs::Sampleable {
   // the pointer here avoids a map lookup per stream per send opportunity.
   std::vector<QuicStream*> send_order_;
   std::size_t rr_cursor_ = 0;
+  // One entry per stream chunk sent, in packet-number order: which stream
+  // to ask for a release once the floor passes the packet.
+  struct ChunkPacket {
+    PacketNumber pn = 0;
+    QuicStream* stream = nullptr;
+  };
+  std::deque<ChunkPacket> chunk_packets_;
 
   // Connection-level flow control.
   std::uint64_t conn_peer_max_ = 0;     // what we may send

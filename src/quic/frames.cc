@@ -255,38 +255,45 @@ std::size_t stream_frame_overhead(StreamId id, std::uint64_t offset,
 }
 
 std::size_t frame_size(const Frame& f) {
-  return std::visit(
-      [](const auto& fr) -> std::size_t {
-        using T = std::decay_t<decltype(fr)>;
-        if constexpr (std::is_same_v<T, StreamFrame>) {
-          return stream_frame_overhead(fr.stream_id, fr.offset,
-                                       fr.data.size()) +
-                 fr.data.size();
-        } else if constexpr (std::is_same_v<T, AckFrame>) {
-          std::size_t s = 1 + varint_length(fr.largest_acked) +
-                          varint_length(ack_delay_wire(fr.ack_delay)) +
-                          8 + varint_length(fr.ranges.size());
-          for (const AckRange& r : fr.ranges) {
-            s += varint_length(r.lo) + varint_length(r.hi);
-          }
-          return s;
-        } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
-          return 1 + varint_length(fr.stream_id) +
-                 varint_length(fr.max_offset);
-        } else if constexpr (std::is_same_v<T, BlockedFrame>) {
-          return 1 + varint_length(fr.stream_id);
-        } else if constexpr (std::is_same_v<T, HandshakeFrame>) {
-          return 1 + 1 + 8 + 8 + varint_length(fr.client_connection_window);
-        } else if constexpr (std::is_same_v<T, PingFrame>) {
-          return 1;
-        } else if constexpr (std::is_same_v<T, ConnectionCloseFrame>) {
-          return 1 + varint_length(fr.error_code) +
-                 varint_length(fr.reason.size()) + fr.reason.size();
-        } else if constexpr (std::is_same_v<T, StopWaitingFrame>) {
-          return 1 + varint_length(fr.least_unacked);
-        }
-      },
-      f);
+  return std::visit([](const auto& fr) { return frame_size(fr); }, f);
+}
+
+std::size_t frame_size(const StreamFrame& f) {
+  return stream_frame_overhead(f.stream_id, f.offset, f.data.size()) +
+         f.data.size();
+}
+
+std::size_t frame_size(const AckFrame& f) {
+  std::size_t s = 1 + varint_length(f.largest_acked) +
+                  varint_length(ack_delay_wire(f.ack_delay)) + 8 +
+                  varint_length(f.ranges.size());
+  for (const AckRange& r : f.ranges) {
+    s += varint_length(r.lo) + varint_length(r.hi);
+  }
+  return s;
+}
+
+std::size_t frame_size(const WindowUpdateFrame& f) {
+  return 1 + varint_length(f.stream_id) + varint_length(f.max_offset);
+}
+
+std::size_t frame_size(const BlockedFrame& f) {
+  return 1 + varint_length(f.stream_id);
+}
+
+std::size_t frame_size(const HandshakeFrame& f) {
+  return 1 + 1 + 8 + 8 + varint_length(f.client_connection_window);
+}
+
+std::size_t frame_size(const PingFrame&) { return 1; }
+
+std::size_t frame_size(const ConnectionCloseFrame& f) {
+  return 1 + varint_length(f.error_code) + varint_length(f.reason.size()) +
+         f.reason.size();
+}
+
+std::size_t frame_size(const StopWaitingFrame& f) {
+  return 1 + varint_length(f.least_unacked);
 }
 
 bool is_retransmittable(const Frame& f) {

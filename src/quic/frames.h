@@ -94,9 +94,18 @@ Bytes encode_packet(const QuicPacket& p);
 // nullopt on truncation, unknown frame type, or tag mismatch.
 std::optional<QuicPacket> decode_packet(BytesView data);
 
-// Size bookkeeping for the packet assembler.
+// Size bookkeeping for the packet assembler. The typed overloads size a
+// frame in hand without copying it (payload, ACK ranges) into a Frame.
 std::size_t packet_header_size(PacketNumber pn);
 std::size_t frame_size(const Frame& f);
+std::size_t frame_size(const StreamFrame& f);
+std::size_t frame_size(const AckFrame& f);
+std::size_t frame_size(const WindowUpdateFrame& f);
+std::size_t frame_size(const BlockedFrame& f);
+std::size_t frame_size(const HandshakeFrame& f);
+std::size_t frame_size(const PingFrame& f);
+std::size_t frame_size(const ConnectionCloseFrame& f);
+std::size_t frame_size(const StopWaitingFrame& f);
 // Overhead of a stream frame excluding its data bytes.
 std::size_t stream_frame_overhead(StreamId id, std::uint64_t offset,
                                   std::size_t len);

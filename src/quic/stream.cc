@@ -14,27 +14,27 @@ QuicStream::QuicStream(StreamId id, std::size_t send_window,
       advertised_max_(recv_window) {}
 
 void QuicStream::write(BytesView data, bool fin) {
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  send_buffer_.append(data);
   if (fin) fin_written_ = true;
 }
 
 bool QuicStream::has_pending_data() const {
   if (!retx_.empty()) return true;
-  if (next_send_offset_ < send_buffer_.size()) return true;
+  if (next_send_offset_ < send_buffer_.end()) return true;
   return fin_written_ && !fin_sent_;
 }
 
 bool QuicStream::blocked_by_stream_fc() const {
   if (!retx_.empty()) return false;  // retransmissions are within the window
-  return next_send_offset_ < send_buffer_.size() &&
+  return next_send_offset_ < send_buffer_.end() &&
          next_send_offset_ >= peer_max_offset_;
 }
 
 std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
                                                 std::uint64_t conn_allowance) {
-  LL_INVARIANT(next_send_offset_ <= send_buffer_.size())
+  LL_INVARIANT(next_send_offset_ <= send_buffer_.end())
       << "stream " << id_ << " send offset " << next_send_offset_
-      << " past buffered " << send_buffer_.size();
+      << " past buffered " << send_buffer_.end();
   if (max_len == 0) return std::nullopt;
   // Retransmissions first: fastest way to fill holes at the receiver.
   if (!retx_.empty()) {
@@ -43,9 +43,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
     chunk.offset = r.offset;
     chunk.is_retransmission = true;
     const std::size_t n = std::min(max_len, r.len);
-    chunk.data.assign(
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(r.offset),
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(r.offset + n));
+    chunk.data = send_buffer_.read(r.offset, n);
     if (n == r.len) {
       chunk.fin = r.fin;
       retx_.erase(retx_.begin());
@@ -59,7 +57,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
   // Fresh data, limited by stream and connection flow control.
   const std::uint64_t fc_limit = std::min<std::uint64_t>(
       peer_max_offset_, next_send_offset_ + conn_allowance);
-  const std::uint64_t buffered = send_buffer_.size();
+  const std::uint64_t buffered = send_buffer_.end();
   const std::uint64_t sendable_end =
       std::min<std::uint64_t>(buffered, fc_limit);
   if (next_send_offset_ < sendable_end) {
@@ -67,10 +65,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
         std::min<std::uint64_t>(max_len, sendable_end - next_send_offset_));
     SendChunk chunk;
     chunk.offset = next_send_offset_;
-    chunk.data.assign(
-        send_buffer_.begin() + static_cast<std::ptrdiff_t>(next_send_offset_),
-        send_buffer_.begin() +
-            static_cast<std::ptrdiff_t>(next_send_offset_ + n));
+    chunk.data = send_buffer_.read(next_send_offset_, n);
     next_send_offset_ += n;
     if (fin_written_ && next_send_offset_ == buffered) {
       chunk.fin = true;
@@ -99,6 +94,7 @@ std::optional<SendChunk> QuicStream::take_chunk(std::size_t max_len,
 void QuicStream::requeue(std::uint64_t offset, std::size_t len, bool fin) {
   if (fin) fin_sent_ = false;
   if (len == 0 && !fin) return;
+  retx_low_ = retx_.empty() ? offset : std::min(retx_low_, offset);
   retx_.push_back({offset, len, fin});
 }
 
@@ -131,6 +127,31 @@ void QuicStream::cancel_retransmission(std::uint64_t offset, std::size_t len,
   retx_ = std::move(kept);
   // The late packet delivered the FIN, so it no longer needs resending.
   if (fin) fin_sent_ = true;
+}
+
+void QuicStream::on_chunk_sent(PacketNumber pn, std::uint64_t offset) {
+  LL_DCHECK(unacked_chunks_.empty() || unacked_chunks_.back().pn < pn)
+      << "stream " << id_ << " chunk sent in pn " << pn << " after pn "
+      << unacked_chunks_.back().pn;
+  // A chunk at a lower offset, sent later, leaves the window later: the
+  // entries it drops can never be the window's minimum again.
+  while (!unacked_chunks_.empty() && unacked_chunks_.back().offset >= offset) {
+    unacked_chunks_.pop_back();
+  }
+  unacked_chunks_.push_back({pn, offset});
+}
+
+void QuicStream::release_below(PacketNumber least_unacked) {
+  while (!unacked_chunks_.empty() &&
+         unacked_chunks_.front().pn < least_unacked) {
+    unacked_chunks_.pop_front();
+  }
+  std::uint64_t keep = next_send_offset_;
+  if (!unacked_chunks_.empty()) {
+    keep = std::min(keep, unacked_chunks_.front().offset);
+  }
+  if (!retx_.empty()) keep = std::min(keep, retx_low_);
+  send_buffer_.release(keep);
 }
 
 void QuicStream::on_window_update(std::uint64_t max_offset) {

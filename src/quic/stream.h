@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -15,6 +16,7 @@
 
 #include "quic/types.h"
 #include "util/bytes.h"
+#include "util/send_buffer.h"
 
 namespace longlook::quic {
 
@@ -63,6 +65,18 @@ class QuicStream {
   // data is unaffected (the receiver discards duplicates).
   void cancel_retransmission(std::uint64_t offset, std::size_t len, bool fin);
 
+  // --- Send-buffer release (DESIGN.md "Send-buffer ownership") ---
+  // The chunk starting at `offset` went out in packet `pn`. Packet numbers
+  // only grow from call to call.
+  void on_chunk_sent(PacketNumber pn, std::uint64_t offset);
+  // Every data-carrying packet numbered below `least_unacked` has left the
+  // sent-packet tracker, so no loss, TLP or RTO can requeue its bytes.
+  // Frees the bytes below the lowest offset that is unsent, queued for
+  // retransmission, or carried by a packet at or above `least_unacked`.
+  void release_below(PacketNumber least_unacked);
+  // Highest number of bytes the send buffer ever held.
+  std::size_t send_buffer_peak() const { return send_buffer_.peak_retained(); }
+
   // --- Peer flow control ---
   void on_window_update(std::uint64_t max_offset);
   std::uint64_t peer_max_offset() const { return peer_max_offset_; }
@@ -86,7 +100,7 @@ class QuicStream {
   std::uint64_t advertised_max() const { return advertised_max_; }
 
   bool all_data_acked_sent() const {  // everything written has been sent
-    return retx_.empty() && next_send_offset_ >= send_buffer_.size() &&
+    return retx_.empty() && next_send_offset_ >= send_buffer_.end() &&
            (!fin_written_ || fin_sent_);
   }
   bool receive_finished() const { return fin_received_ && delivered_ == fin_offset_; }
@@ -101,7 +115,7 @@ class QuicStream {
   std::uint64_t bytes_sent() const { return next_send_offset_; }
   // Bytes written by the app but not yet sent (backpressure signal).
   std::size_t send_backlog() const {
-    return send_buffer_.size() - static_cast<std::size_t>(next_send_offset_);
+    return static_cast<std::size_t>(send_buffer_.end() - next_send_offset_);
   }
 
  private:
@@ -111,14 +125,27 @@ class QuicStream {
     bool fin = false;
   };
 
+  // A sent chunk: its packet number and first offset.
+  struct UnackedChunk {
+    PacketNumber pn = 0;
+    std::uint64_t offset = 0;
+  };
+
   StreamId id_ = 0;
   // Send side.
-  Bytes send_buffer_;
+  util::SendBuffer send_buffer_;
   std::uint64_t next_send_offset_ = 0;
   bool fin_written_ = false;
   bool fin_sent_ = false;
   std::uint64_t peer_max_offset_ = 0;
   std::vector<RetxRange> retx_;
+  // No offset in retx_ lies below this while retx_ is non-empty: the least
+  // offset requeued since retx_ was last empty.
+  std::uint64_t retx_low_ = 0;
+  // Sliding-window minimum over sent chunks: packet numbers and offsets
+  // both strictly increase front to back, so the front is the lowest
+  // offset among the chunks at or above the last release_below() floor.
+  std::deque<UnackedChunk> unacked_chunks_;
   // Receive side.
   std::size_t recv_window_ = 0;
   std::uint64_t delivered_ = 0;

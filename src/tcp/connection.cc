@@ -107,8 +107,7 @@ void TcpConnection::enter_established(TimePoint now) {
   if (config_.tls_enabled) {
     if (is_client_) {
       // TLS flight 1: ClientHello.
-      Bytes hello(kTlsClientHello, 0);
-      send_buffer_.insert(send_buffer_.end(), hello.begin(), hello.end());
+      send_buffer_.append(Bytes(kTlsClientHello, 0));
       try_send();
     }
   } else {
@@ -134,8 +133,7 @@ void TcpConnection::tls_step_on_receive() {
   if (is_client_) {
     if (tls_phase_ == 0 && tls_recv_count_ >= kTlsServerFlight) {
       tls_phase_ = 1;
-      Bytes finish(kTlsClientFinish, 0);
-      send_buffer_.insert(send_buffer_.end(), finish.begin(), finish.end());
+      send_buffer_.append(Bytes(kTlsClientFinish, 0));
       try_send();
     }
     if (tls_recv_count_ >= kTlsClientInbound) {
@@ -145,14 +143,12 @@ void TcpConnection::tls_step_on_receive() {
   } else {
     if (tls_phase_ == 0 && tls_recv_count_ >= kTlsClientHello) {
       tls_phase_ = 1;
-      Bytes flight(kTlsServerFlight, 0);
-      send_buffer_.insert(send_buffer_.end(), flight.begin(), flight.end());
+      send_buffer_.append(Bytes(kTlsServerFlight, 0));
       try_send();
     }
     if (tls_recv_count_ >= kTlsServerInbound) {
       tls_done_ = true;
-      Bytes finish(kTlsServerFinish, 0);
-      send_buffer_.insert(send_buffer_.end(), finish.begin(), finish.end());
+      send_buffer_.append(Bytes(kTlsServerFinish, 0));
       maybe_fire_app_established();
     }
   }
@@ -161,12 +157,13 @@ void TcpConnection::tls_step_on_receive() {
 // --- Application API --------------------------------------------------------
 
 void TcpConnection::write(BytesView data, bool fin) {
-  send_buffer_.insert(send_buffer_.end(), data.begin(), data.end());
+  send_buffer_.append(data);
   if (fin && !fin_queued_) {
     // The FIN occupies one virtual byte at the end of the stream so that
     // cumulative ACK / SACK machinery covers it with no special cases.
-    send_buffer_.push_back(0);
-    fin_offset_ = send_buffer_.size() - 1;
+    constexpr std::uint8_t kFinByte = 0;
+    send_buffer_.append(BytesView(&kFinByte, 1));
+    fin_offset_ = send_buffer_.end() - 1;
     fin_queued_ = true;
   }
 }
@@ -288,7 +285,7 @@ void TcpConnection::try_send() {
   } else {
     rto_timer_.cancel();
     probe_timer_.cancel();
-    if (cc_->can_send(0) && snd_nxt_ >= send_buffer_.size()) {
+    if (cc_->can_send(0) && snd_nxt_ >= send_buffer_.end()) {
       cc_->on_application_limited(now);
     }
   }
@@ -314,10 +311,10 @@ bool TcpConnection::send_one_segment(TimePoint now) {
   }
 
   // New data, gated by the peer's receive window.
-  if (snd_nxt_ < send_buffer_.size()) {
+  if (snd_nxt_ < send_buffer_.end()) {
     if (snd_nxt_ - snd_una_ >= peer_rwnd_) return false;
     const std::size_t len = std::min<std::uint64_t>(
-        {config_.mss, send_buffer_.size() - snd_nxt_,
+        {config_.mss, send_buffer_.end() - snd_nxt_,
          peer_rwnd_ - (snd_nxt_ - snd_una_)});
     send_segment_at(snd_nxt_, len, false, now);
     snd_nxt_ += len;
@@ -330,9 +327,7 @@ void TcpConnection::send_segment_at(std::uint64_t offset, std::size_t len,
                                     bool is_retx, TimePoint now) {
   TcpSegment seg = make_base_segment();
   seg.seq = offset;
-  seg.payload.assign(
-      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset),
-      send_buffer_.begin() + static_cast<std::ptrdiff_t>(offset + len));
+  seg.payload = send_buffer_.read(offset, len);
   if (fin_queued_ && offset + len - 1 == fin_offset_) seg.fin = true;
   // Piggyback SACK state for the peer.
   seg.sack = build_sack_blocks();
@@ -486,6 +481,9 @@ void TcpConnection::process_ack(const TcpSegment& seg, TimePoint now) {
     const std::size_t newly = static_cast<std::size_t>(seg.ack - snd_una_);
     const std::size_t prior_in_flight = bytes_in_flight();
     snd_una_ = seg.ack;
+    // RTO, tail probes and SACK-hole retransmissions all read at or above
+    // snd_una_, so nothing below it is ever read again.
+    send_buffer_.release(snd_una_);
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;  // post-RTO late ACK
     if (retx_next_ < snd_una_) retx_next_ = snd_una_;
     dupack_count_ = 0;

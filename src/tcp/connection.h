@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "sim/timer.h"
 #include "tcp/segment.h"
+#include "util/send_buffer.h"
 
 namespace longlook::tcp {
 
@@ -106,8 +107,10 @@ class TcpConnection : public obs::Sampleable {
   std::uint64_t delivered_app_bytes() const { return app_delivered_; }
   // Bytes written by the app but not yet transmitted (backpressure signal).
   std::size_t send_backlog() const {
-    return send_buffer_.size() - static_cast<std::size_t>(snd_nxt_);
+    return static_cast<std::size_t>(send_buffer_.end() - snd_nxt_);
   }
+  // Highest byte count the send buffer held.
+  std::size_t send_buffer_peak() const { return send_buffer_.peak_retained(); }
 
   // Push buffered app data out (call after write()).
   void flush() { try_send(); }
@@ -214,7 +217,9 @@ class TcpConnection : public obs::Sampleable {
   TcpStats stats_;
 
   // --- Send side ---
-  Bytes send_buffer_;  // logical stream: TLS bytes then app bytes (+fin byte)
+  // Logical stream: TLS bytes then app bytes (+fin byte). Bytes below
+  // snd_una_ are freed: every retransmission path reads at or above it.
+  util::SendBuffer send_buffer_;
   std::uint64_t snd_una_ = 0;
   std::uint64_t snd_nxt_ = 0;
   bool fin_queued_ = false;
