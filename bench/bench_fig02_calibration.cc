@@ -5,10 +5,6 @@
 // large, variable wait.
 #include "bench_common.h"
 
-#include "http/object_service.h"
-#include "http/quic_session.h"
-#include "workload/executor.h"
-
 namespace {
 
 using namespace longlook;
@@ -24,30 +20,23 @@ BarResult run_one(const quic::QuicConfig& config, bool gae_wait,
   Scenario s;
   s.rate_bps = 100'000'000;
   s.seed = seed;
-  Testbed tb(s);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, config);
+  CompareOptions opts;
+  opts.quic = config;
+  opts.timeout = seconds(300);
+  longlook::bench::apply(opts);
+  SingleRun<Protocol::kQuic> run(s, Workload{1, 10 * 1024 * 1024}, opts);
   if (gae_wait) {
     // GAE's shared frontend: variable service delay before the response
     // (Sec. 4.1: "variable wait time between connection establishment and
     // content being served").
-    server.service().set_service_delay(milliseconds(300), milliseconds(1400),
-                                       seed * 31 + 7);
+    run.server().service().set_service_delay(
+        milliseconds(300), milliseconds(1400), seed * 31 + 7);
   }
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort,
-                                  config, tokens);
-  const workload::ScenarioSpec image =
-      workload::page_spec({1, 10 * 1024 * 1024});
-  workload::ScenarioRunner loader(tb.sim(), session, image);
-  loader.start();
-  tb.run_until([&] { return loader.finished(); }, seconds(300));
-  BarResult out;
-  if (!loader.finished()) return out;
-  const auto& obj = loader.result().detail[0];
-  out.wait_s = to_seconds(obj.first_byte - loader.result().started);
-  out.download_s = to_seconds(obj.completed - obj.first_byte);
-  return out;
+  if (!run.finish()) return {};
+  const workload::ScenarioResult& res = run.result();
+  const auto& obj = res.detail[0];
+  return {to_seconds(obj.first_byte - res.started),
+          to_seconds(obj.completed - obj.first_byte)};
 }
 
 BarResult average(const quic::QuicConfig& config, bool gae_wait) {

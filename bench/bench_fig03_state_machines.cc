@@ -4,10 +4,7 @@
 // Synoptic step, Sec. 5.1).
 #include "bench_common.h"
 
-#include "http/object_service.h"
-#include "http/quic_session.h"
 #include "smi/inference.h"
-#include "workload/executor.h"
 
 namespace {
 
@@ -19,27 +16,21 @@ void trace_run(smi::StateMachineInference& cubic_inf,
                smi::StateMachineInference* bbr_inf, const Scenario& s,
                std::size_t objects, std::size_t bytes,
                quic::CcAlgorithm algo) {
-  Testbed tb(s);
-  quic::QuicConfig cfg;
-  cfg.cc_algorithm = algo;
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, cfg);
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort, cfg,
-                                  tokens);
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  tb.run_until([&] { return loader.finished(); }, seconds(300));
-  auto* conn = server.server().latest_connection();
+  CompareOptions opts;
+  opts.quic.cc_algorithm = algo;
+  opts.timeout = seconds(300);
+  longlook::bench::apply(opts);
+  SingleRun<Protocol::kQuic> run(s, Workload{objects, bytes}, opts);
+  run.finish();
+  auto* conn = run.server().server().latest_connection();
   if (conn == nullptr) return;
+  const TimePoint end = run.testbed().sim().now();
   if (algo == quic::CcAlgorithm::kCubic) {
     cubic_inf.add_trace(smi::trace_from_tracker(
-        conn->send_algorithm().tracker(), TimePoint{}, tb.sim().now()));
+        conn->send_algorithm().tracker(), TimePoint{}, end));
   } else if (bbr_inf != nullptr && conn->bbr() != nullptr) {
     bbr_inf->add_trace(
-        smi::trace_from_bbr(conn->bbr()->bbr_trace(), TimePoint{},
-                            tb.sim().now()));
+        smi::trace_from_bbr(conn->bbr()->bbr_trace(), TimePoint{}, end));
   }
 }
 

@@ -6,7 +6,6 @@
 #include "bench_common.h"
 
 #include "smi/inference.h"
-#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -14,25 +13,20 @@ using namespace longlook::harness;
 
 smi::StateMachineInference infer_for_device(const DeviceProfile& dev) {
   smi::StateMachineInference inf;
-  const workload::ScenarioSpec page =
-      workload::page_spec({1, 20 * 1024 * 1024});
+  CompareOptions opts;
+  opts.timeout = seconds(120);
+  longlook::bench::apply(opts);
   for (int r = 0; r < longlook::bench::rounds(); ++r) {
     Scenario s;
     s.rate_bps = 50'000'000;
     s.device = dev;
     s.seed = 900 + static_cast<std::uint64_t>(r);
-    Testbed tb(s);
-    http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-    quic::TokenCache tokens;
-    http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                    tb.server_host().address(), kQuicPort, {},
-                                    tokens);
-    workload::ScenarioRunner loader(tb.sim(), session, page);
-    loader.start();
-    tb.run_until([&] { return loader.finished(); }, seconds(120));
-    if (auto* conn = server.server().latest_connection()) {
+    SingleRun<Protocol::kQuic> run(s, Workload{1, 20 * 1024 * 1024}, opts);
+    run.finish();
+    if (auto* conn = run.server().server().latest_connection()) {
       inf.add_trace(smi::trace_from_tracker(conn->send_algorithm().tracker(),
-                                            TimePoint{}, tb.sim().now()));
+                                            TimePoint{},
+                                            run.testbed().sim().now()));
     }
   }
   return inf;

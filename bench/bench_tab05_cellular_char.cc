@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "workload/executor.h"
 
 namespace {
 using namespace longlook;
@@ -27,43 +26,38 @@ Measured measure(const CellularProfile& profile) {
   Measured out;
 
   // Throughput + RTT probe: one bulk QUIC download.
-  Testbed tb(s);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort, {},
-                                  tokens);
+  CompareOptions opts;
+  opts.timeout = seconds(120);
+  longlook::bench::apply(opts);
   const std::size_t bytes = static_cast<std::size_t>(
       profile.throughput_mbps * 1e6 / 8 * 20);  // ~20 s of transfer
-  const workload::ScenarioSpec page =
-      workload::page_spec({1, std::max<std::size_t>(bytes, 64 * 1024)});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
+  SingleRun<Protocol::kQuic> run(
+      s, Workload{1, std::max<std::size_t>(bytes, 64 * 1024)}, opts);
+  Simulator& sim = run.testbed().sim();
   std::vector<double> rtt_samples_ms;
-  loader.start();
-  // Sample the server's latest RTT once per second.
+  // Sample the server's latest RTT every 500 ms.
   std::function<void()> sample = [&] {
-    if (auto* conn = server.server().latest_connection()) {
+    if (auto* conn = run.server().server().latest_connection()) {
       if (conn->rtt().has_samples()) {
         rtt_samples_ms.push_back(to_millis(conn->rtt().latest()));
       }
     }
-    tb.sim().schedule(milliseconds(500), sample);
+    sim.schedule(milliseconds(500), sample);
   };
-  tb.sim().schedule(milliseconds(500), sample);
-  tb.run_until([&] { return loader.finished(); }, seconds(120));
+  sim.schedule(milliseconds(500), sample);
+  run.finish();
 
-  const double dur = to_seconds(loader.result().finished -
-                                loader.result().started);
+  const workload::ScenarioResult& res = run.result();
+  const double dur = to_seconds(res.finished - res.started);
   if (dur > 0) {
     out.throughput_mbps =
-        static_cast<double>(loader.result().detail[0].download_bytes) * 8 /
-        dur / 1e6;
+        static_cast<double>(res.detail[0].download_bytes) * 8 / dur / 1e6;
   }
   const auto rtt_summary = stats::summarize(rtt_samples_ms);
   out.rtt_ms = rtt_summary.mean;
   out.rtt_std_ms = rtt_summary.stddev;
 
-  const auto& down = tb.downlink().stats();
+  const auto& down = run.testbed().downlink().stats();
   if (down.delivered > 0) {
     out.reorder_pct = 100.0 * static_cast<double>(down.delivered_out_of_order) /
                       static_cast<double>(down.delivered);

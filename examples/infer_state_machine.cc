@@ -7,11 +7,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "harness/testbed.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
+#include "harness/compare.h"
 #include "smi/inference.h"
-#include "workload/executor.h"
 
 using namespace longlook;
 
@@ -20,21 +17,15 @@ namespace {
 void collect_trace(smi::StateMachineInference& inference,
                    const harness::Scenario& scenario, std::size_t objects,
                    std::size_t bytes) {
-  harness::Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(),
-                                harness::kQuicPort, quic::QuicConfig{});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, quic::QuicConfig{},
-                                  tokens);
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  tb.run_until([&] { return loader.finished(); }, seconds(120));
-  if (auto* conn = server.server().latest_connection()) {
+  harness::CompareOptions opts;
+  opts.timeout = seconds(120);
+  harness::SingleRun<harness::Protocol::kQuic> run(scenario, {objects, bytes},
+                                                   opts);
+  run.finish();
+  if (auto* conn = run.server().server().latest_connection()) {
     inference.add_trace(smi::trace_from_tracker(
-        conn->send_algorithm().tracker(), TimePoint{}, tb.sim().now()));
+        conn->send_algorithm().tracker(), TimePoint{},
+        run.testbed().sim().now()));
   }
 }
 

@@ -5,10 +5,7 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
-#include "harness/testbed.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
-#include "workload/executor.h"
+#include "harness/compare.h"
 
 using namespace longlook;
 
@@ -22,31 +19,23 @@ int main() {
   scenario.loss_rate = 0.01;
   scenario.seed = 1;
 
-  // 2. Build the testbed and start a calibrated QUIC server on it.
-  harness::Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(),
-                                harness::kQuicPort, quic::QuicConfig{});
+  // 2. Stand up one run: the testbed, a calibrated QUIC server on it, and a
+  //    client loading a page of 10 x 100 KB objects. No token cache is
+  //    passed, so this first connection pays QUIC's 1-RTT setup; pass one
+  //    and keep it around, and the next run's connection would be 0-RTT.
+  harness::CompareOptions opts;
+  opts.timeout = seconds(60);
+  harness::SingleRun<harness::Protocol::kQuic> run(scenario, {10, 100 * 1024},
+                                                   opts);
 
-  // 3. Connect a client and load a page of 10 x 100 KB objects. The token
-  //    cache is empty, so this first connection pays QUIC's 1-RTT setup;
-  //    keep the cache around and the next connection would be 0-RTT.
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, quic::QuicConfig{},
-                                  tokens);
-  const workload::ScenarioSpec spec = workload::page_spec({10, 100 * 1024});
-  workload::ScenarioRunner loader(tb.sim(), session, spec);
-  loader.start();
-
-  // 4. Run the virtual clock until the page completes.
-  if (!tb.run_until([&] { return loader.finished(); }, seconds(60))) {
+  // 3. Run the virtual clock until the page completes.
+  if (!run.finish()) {
     std::printf("page load did not complete\n");
     return 1;
   }
 
-  // 5. Inspect the results: PLT, per-object timings, transport internals.
-  const workload::ScenarioResult& page = loader.result();
+  // 4. Inspect the results: PLT, per-object timings, transport internals.
+  const workload::ScenarioResult& page = run.result();
   std::printf("Page load time: %.3f s (%zu objects)\n",
               to_seconds(page.duration), page.detail.size());
   for (const auto& obj : page.detail) {
@@ -57,14 +46,14 @@ int main() {
                 static_cast<std::size_t>(obj.download_bytes));
   }
 
-  const quic::QuicConnection& client = session.connection();
+  const quic::QuicConnection& client = run.session().connection();
   std::printf("\nClient connection: %llu packets sent, %llu received, "
               "handshake RTTs: %llu\n",
               static_cast<unsigned long long>(client.stats().packets_sent),
               static_cast<unsigned long long>(client.stats().packets_received),
               static_cast<unsigned long long>(
                   client.stats().handshake_round_trips));
-  if (auto* sc = server.server().latest_connection()) {
+  if (auto* sc = run.server().server().latest_connection()) {
     std::printf("Server: cwnd %zu bytes, srtt %.1f ms, %llu packets declared "
                 "lost (%llu spurious), state %s\n",
                 sc->congestion_window(), to_millis(sc->rtt().smoothed()),

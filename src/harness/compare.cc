@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
-#include <type_traits>
+#include <variant>
 
 #include "harness/compare_detail.h"
 #include "harness/perf.h"
@@ -60,16 +60,14 @@ void register_testbed_probes(obs::StateSampler& sampler, Testbed& tb) {
 
 namespace {
 
-// What a run records, the one difference between the page and scenario
-// entry points. A page run's run:start names the page's object count and
+// What a run records is the one difference between the page and scenario
+// forms. A page run's run:start names the page's object count and
 // per-object size. A scenario run's names the spec's totals (objects =
 // transactions, object_bytes = bytes downloaded) plus the DSL string, so
 // the trace is self-describing, and the run folds scn_* totals.
-enum class RunForm { kPage, kScenario };
-
 void emit_run_start(obs::TraceSink& sink, const char* proto,
                     const Scenario& scenario,
-                    const workload::ScenarioSpec& spec, RunForm form,
+                    const workload::ScenarioSpec& spec, bool page_form,
                     TimePoint now) {
   // "v" is the trace schema version (docs/trace_schema.md); v2 added the
   // run:hist record type, v3 the ts:/flight: families.
@@ -78,7 +76,7 @@ void emit_run_start(obs::TraceSink& sink, const char* proto,
       .s("proto", proto)
       .s("scenario", scenario.name)
       .u("seed", scenario.seed);
-  if (form == RunForm::kPage) {
+  if (page_form) {
     const workload::PageGraph& page = *spec.streams.front().page;
     sink.record(ev.u("objects", page.object_count)
                     .u("object_bytes", page.object_bytes));
@@ -190,13 +188,13 @@ void fold_transport(obs::MetricsRegistry& m, const std::string& p,
 // Per-run metrics + trace epilogue. The run's duration (page PLT or
 // scenario completion time) is observed as "<prefix>plt_us" on completion.
 template <typename Session, typename Server>
-void fold_run_metrics(const RunObserver& observer, RunForm form, bool done,
+void fold_run_metrics(const RunObserver& observer, bool page_form, bool done,
                       const workload::ScenarioResult& res, Session& session,
                       Server& server, Testbed& tb) {
   if (observer.metrics == nullptr) return;
   obs::MetricsRegistry& m = *observer.metrics;
   const std::string& p = observer.prefix;
-  if (form == RunForm::kScenario) {
+  if (!page_form) {
     m.incr(p + "scn_transactions", res.transactions);
     m.incr(p + "scn_upload_bytes", res.upload_bytes);
     m.incr(p + "scn_download_bytes", res.download_bytes);
@@ -218,143 +216,151 @@ void fold_run_metrics(const RunObserver& observer, RunForm form, bool done,
   }
 }
 
-// The one run path: drives `spec` over stack P in a fresh testbed and
-// returns its totals, or nullopt on timeout. `tokens` is the QUIC client's
-// persistent 0-RTT cache (unused, may be null, for TCP).
+// `ts:` sampling period of virtual time.
+constexpr Duration kSampleInterval = milliseconds(10);
+
+// The stack's transport config within a CompareOptions.
 template <Protocol P>
-std::optional<ScenarioRunStats> run_once(const Scenario& scenario,
-                                         const workload::ScenarioSpec& spec,
-                                         RunForm form,
-                                         const CompareOptions& opts,
-                                         quic::TokenCache* tokens,
-                                         const RunObserver* observer) {
+const auto& stack_config(const CompareOptions& opts) {
+  if constexpr (P == Protocol::kQuic) {
+    return opts.quic;
+  } else {
+    return opts.tcp;
+  }
+}
+
+// Seconds of a completed run, nullopt on timeout.
+std::optional<double> seconds_of(const std::optional<ScenarioRunStats>& run) {
+  if (!run) return std::nullopt;
+  return run->duration_s;
+}
+
+}  // namespace
+
+template <Protocol P>
+SingleRun<P>::SingleRun(const Scenario& scenario, const Workload& page,
+                        const CompareOptions& opts, quic::TokenCache* tokens,
+                        const RunObserver* observer)
+    : SingleRun(scenario, workload::page_spec(page), nullptr, opts, tokens,
+                observer) {}
+
+template <Protocol P>
+SingleRun<P>::SingleRun(const Scenario& scenario,
+                        const workload::ScenarioSpec& spec,
+                        const CompareOptions& opts, quic::TokenCache* tokens,
+                        const RunObserver* observer)
+    : SingleRun(scenario, {}, &spec, opts, tokens, observer) {}
+
+template <Protocol P>
+SingleRun<P>::SingleRun(const Scenario& scenario, workload::ScenarioSpec page,
+                        const workload::ScenarioSpec* spec,
+                        const CompareOptions& opts, quic::TokenCache* tokens,
+                        const RunObserver* observer)
+    : observer_(observer),
+      prof_(obs::Profiler::local(opts.profiler)),
+      run_timer_(prof_, P == Protocol::kQuic ? "run:quic" : "run:tcp"),
+      timeout_(opts.timeout),
+      dumps_before_(obs::FlightRecorder::thread_dumps()),
+      page_form_(spec == nullptr),
+      page_(std::move(page)),
+      tb_(scenario) {
   constexpr bool kQuic = P == Protocol::kQuic;
-  using Server = std::conditional_t<kQuic, http::QuicObjectServer,
-                                    http::TcpObjectServer>;
-  using Session = std::conditional_t<kQuic, http::QuicClientSession,
-                                     http::H2ClientSession>;
-  // The stack's transport config within a CompareOptions.
-  const auto stack_config = [](auto& o) -> auto& {
-    if constexpr (P == Protocol::kQuic) {
-      return o.quic;
-    } else {
-      return o.tcp;
-    }
-  };
+  const workload::ScenarioSpec& run_spec = page_form_ ? page_ : *spec;
+  obs::TraceSink* sink = observer_ != nullptr ? observer_->trace : nullptr;
+  // Periodic `ts:` sampling (schema v3), only when traced.
+  if (sink != nullptr && sampling_enabled(opts)) sampler_.emplace(sink);
+  // Traced: the stack runs under a copy of its config carrying the sink and
+  // sampler. Untraced, the copy equals the caller's config.
+  auto config = stack_config<P>(opts);
+  if (sink != nullptr) config.trace = sink;
+  if (sampler_) config.sampler = &*sampler_;
 
-  obs::ProfilerShard* prof = obs::Profiler::local(opts.profiler);
-  obs::ScopedTimer run_timer(prof, kQuic ? "run:quic" : "run:tcp");
-  obs::TraceSink* sink = observer != nullptr ? observer->trace : nullptr;
-  // Tracing enabled: run under a copy of the options that carries the sink
-  // into the stack's transport config. Disabled: the original options pass
-  // through untouched (no copy, no null-sink formatting anywhere).
-  CompareOptions traced;
-  const CompareOptions* eff = &opts;
   if (sink != nullptr) {
-    traced = opts;
-    stack_config(traced).trace = sink;
-    eff = &traced;
+    up_obs_.emplace(tb_.uplink(), *sink, "up");
+    down_obs_.emplace(tb_.downlink(), *sink, "down");
+    emit_run_start(*sink, kQuic ? "quic" : "tcp", scenario, run_spec,
+                   page_form_, tb_.sim().now());
   }
-  // Periodic `ts:` sampling (schema v3). Declared before the endpoints so
-  // connections deregister (in their destructors) before the sampler dies.
-  std::optional<obs::StateSampler> sampler;
-  const std::uint64_t dumps_before = obs::FlightRecorder::thread_dumps();
-  if (sink != nullptr && sampling_enabled(opts)) {
-    sampler.emplace(sink);
-    stack_config(traced).sampler = &*sampler;
-  }
-
-  Testbed tb(scenario);
-  // Declared after tb so they detach from the links before teardown.
-  std::optional<LinkEventObserver> up_obs;
-  std::optional<LinkEventObserver> down_obs;
-  if (sink != nullptr) {
-    up_obs.emplace(tb.uplink(), *sink, "up");
-    down_obs.emplace(tb.downlink(), *sink, "down");
-    emit_run_start(*sink, kQuic ? "quic" : "tcp", scenario, spec, form,
-                   tb.sim().now());
-  }
-  if (sampler) detail::register_testbed_probes(*sampler, tb);
-  const auto& config = stack_config(*eff);
+  if (sampler_) detail::register_testbed_probes(*sampler_, tb_);
   const Port server_port = kQuic ? kQuicPort : kTcpPort;
-  Server server(tb.sim(), tb.server_host(), server_port, config);
-  const std::shared_ptr<void> keepalive =
-      eff->setup ? eff->setup(tb) : nullptr;
+  server_.emplace(tb_.sim(), tb_.server_host(), server_port, config);
+  keepalive_ = opts.setup ? opts.setup(tb_) : nullptr;
 
   // Proxy experiments connect to the mid host and/or another port.
   const bool to_mid =
-      kQuic ? eff->quic_connect_to_mid : eff->tcp_connect_to_mid;
+      kQuic ? opts.quic_connect_to_mid : opts.tcp_connect_to_mid;
   const Address target =
-      to_mid ? tb.mid_host().address() : tb.server_host().address();
-  const Port port = (kQuic ? eff->quic_connect_port : eff->tcp_connect_port)
+      to_mid ? tb_.mid_host().address() : tb_.server_host().address();
+  const Port port = (kQuic ? opts.quic_connect_port : opts.tcp_connect_port)
                         .value_or(server_port);
-  Session session = [&] {
-    if constexpr (kQuic) {
-      return Session(tb.sim(), tb.client_host(), target, port, config,
-                     *tokens);
-    } else {
-      return Session(tb.sim(), tb.client_host(), target, port, config);
-    }
-  }();
-  workload::ScenarioRunner runner(tb.sim(), session, spec);
-  runner.start();
-  std::optional<PeriodicTimer> sample_timer;
-  if (sampler) {
-    sample_timer.emplace(tb.sim(), eff->sample_interval,
-                         [&] { sampler->sample(tb.sim().now()); });
+  if constexpr (kQuic) {
+    session_.emplace(tb_.sim(), tb_.client_host(), target, port, config,
+                     tokens != nullptr ? *tokens : fresh_tokens_);
+  } else {
+    session_.emplace(tb_.sim(), tb_.client_host(), target, port, config);
   }
+  runner_.emplace(tb_.sim(), *session_, run_spec);
+  runner_->start();
+  if (sampler_) {
+    sample_timer_.emplace(tb_.sim(), kSampleInterval,
+                          [this] { sampler_->sample(tb_.sim().now()); });
+  }
+}
+
+template <Protocol P>
+std::optional<ScenarioRunStats> SingleRun<P>::finish() {
   const bool done =
-      tb.run_until([&] { return runner.finished(); }, eff->timeout);
-  const workload::ScenarioResult& res = runner.result();
-  detail::emit_run_summary(sink, done, res.duration, tb.sim().now());
-  fold_profile_counters(prof, tb, session, server);
-  fold_sampler_counters(prof, sampler ? &*sampler : nullptr, dumps_before);
-  if (observer != nullptr) {
-    fold_run_metrics(*observer, form, done, res, session, server, tb);
+      tb_.run_until([this] { return runner_->finished(); }, timeout_);
+  const workload::ScenarioResult& res = runner_->result();
+  obs::TraceSink* sink = observer_ != nullptr ? observer_->trace : nullptr;
+  detail::emit_run_summary(sink, done, res.duration, tb_.sim().now());
+  fold_profile_counters(prof_, tb_, *session_, *server_);
+  fold_sampler_counters(prof_, sampler_ ? &*sampler_ : nullptr,
+                        dumps_before_);
+  if (observer_ != nullptr) {
+    fold_run_metrics(*observer_, page_form_, done, res, *session_, *server_,
+                     tb_);
   }
   if (!done) return std::nullopt;
   return ScenarioRunStats{to_seconds(res.duration), res.transactions,
                           res.upload_bytes, res.download_bytes};
 }
 
-}  // namespace
+template class SingleRun<Protocol::kQuic>;
+template class SingleRun<Protocol::kTcp>;
 
 std::optional<double> run_quic_page_load(const Scenario& scenario,
                                          const Workload& page,
                                          const CompareOptions& opts,
                                          quic::TokenCache& tokens,
                                          const RunObserver* observer) {
-  const auto run =
-      run_once<Protocol::kQuic>(scenario, workload::page_spec(page),
-                                RunForm::kPage, opts, &tokens, observer);
-  if (!run) return std::nullopt;
-  return run->duration_s;
+  return seconds_of(
+      SingleRun<Protocol::kQuic>(scenario, page, opts, &tokens, observer)
+          .finish());
 }
 
 std::optional<double> run_tcp_page_load(const Scenario& scenario,
                                         const Workload& page,
                                         const CompareOptions& opts,
                                         const RunObserver* observer) {
-  const auto run =
-      run_once<Protocol::kTcp>(scenario, workload::page_spec(page),
-                               RunForm::kPage, opts, nullptr, observer);
-  if (!run) return std::nullopt;
-  return run->duration_s;
+  return seconds_of(
+      SingleRun<Protocol::kTcp>(scenario, page, opts, nullptr, observer)
+          .finish());
 }
 
 std::optional<ScenarioRunStats> run_quic_scenario(
     const Scenario& scenario, const workload::ScenarioSpec& spec,
     const CompareOptions& opts, quic::TokenCache& tokens,
     const RunObserver* observer) {
-  return run_once<Protocol::kQuic>(scenario, spec, RunForm::kScenario, opts,
-                                   &tokens, observer);
+  return SingleRun<Protocol::kQuic>(scenario, spec, opts, &tokens, observer)
+      .finish();
 }
 
 std::optional<ScenarioRunStats> run_tcp_scenario(
     const Scenario& scenario, const workload::ScenarioSpec& spec,
     const CompareOptions& opts, const RunObserver* observer) {
-  return run_once<Protocol::kTcp>(scenario, spec, RunForm::kScenario, opts,
-                                  nullptr, observer);
+  return SingleRun<Protocol::kTcp>(scenario, spec, opts, nullptr, observer)
+      .finish();
 }
 
 namespace {
@@ -406,8 +412,7 @@ Arm tcp_arm(const CompareOptions& opts) {
 // fold is independent of the worker count.
 struct Cell {
   Scenario scenario;
-  workload::ScenarioSpec spec;
-  RunForm form = RunForm::kPage;
+  std::variant<Workload, workload::ScenarioSpec> work;  // page or scenario
   std::array<Arm, 2> arms;
   std::string dir;    // trace artifact directory; empty == untraced
   std::string label;  // submission-ordered artifact name stem
@@ -422,12 +427,18 @@ std::optional<ScenarioRunStats> run_arm(const Cell& cell, const Arm& arm,
                                         const Scenario& round,
                                         quic::TokenCache& tokens,
                                         const RunObserver& observer) {
-  if (arm.stack == Protocol::kQuic) {
-    return run_once<Protocol::kQuic>(round, cell.spec, cell.form, arm.opts,
-                                     &tokens, &observer);
-  }
-  return run_once<Protocol::kTcp>(round, cell.spec, cell.form, arm.opts,
-                                  nullptr, &observer);
+  return std::visit(
+      [&](const auto& work) {
+        if (arm.stack == Protocol::kQuic) {
+          return SingleRun<Protocol::kQuic>(round, work, arm.opts, &tokens,
+                                            &observer)
+              .finish();
+        }
+        return SingleRun<Protocol::kTcp>(round, work, arm.opts, nullptr,
+                                         &observer)
+            .finish();
+      },
+      cell.work);
 }
 
 // Folds per-round slots into the CellResult in round order (arm a into the
@@ -461,26 +472,23 @@ void commit_cell(const Cell& cell, CellResult* out,
 // The one cell builder: a warm job filling each QUIC arm's token cache, one
 // job per paired round (arm a, then arm b, on the round's seed), and a
 // commit job gated on every round.
-SweepRunner::Ticket submit_cell(SweepRunner& runner, const Scenario& scenario,
-                                workload::ScenarioSpec spec, RunForm form,
-                                Arm a, Arm b, CellResult* out,
-                                ProgressReporter* progress) {
+SweepRunner::Ticket submit_cell(
+    SweepRunner& runner, const Scenario& scenario,
+    std::variant<Workload, workload::ScenarioSpec> work, Arm a, Arm b,
+    CellResult* out, ProgressReporter* progress) {
   LL_CHECK(a.opts.rounds == b.opts.rounds)
       << "cell arms disagree on rounds: " << a.opts.rounds << " vs "
       << b.opts.rounds;
   const auto rounds = static_cast<std::size_t>(a.opts.rounds);
   auto cell = std::make_shared<Cell>();
   cell->scenario = scenario;
-  cell->spec = std::move(spec);
-  cell->form = form;
+  cell->work = std::move(work);
   // Resolved now, on the submitting thread, so names don't depend on which
   // worker eventually runs the round.
   cell->dir = trace_directory(a.opts);
   if (!cell->dir.empty()) {
     cell->label = "c" + std::to_string(g_cell_counter.fetch_add(1)) + "_" +
-                  sanitize_label(a.opts.trace_label.empty()
-                                     ? scenario.name
-                                     : a.opts.trace_label);
+                  sanitize_label(scenario.name);
     std::filesystem::create_directories(cell->dir);
   }
   cell->arms = {std::move(a), std::move(b)};
@@ -546,8 +554,7 @@ SweepRunner::Ticket compare_plt_async(SweepRunner& runner,
                                       const CompareOptions& opts,
                                       CellResult* out,
                                       ProgressReporter* progress) {
-  return submit_cell(runner, scenario, workload::page_spec(page),
-                     RunForm::kPage, quic_arm(opts), tcp_arm(opts), out,
+  return submit_cell(runner, scenario, page, quic_arm(opts), tcp_arm(opts), out,
                      progress);
 }
 
@@ -558,8 +565,7 @@ SweepRunner::Ticket compare_quic_pair_async(SweepRunner& runner,
                                             const CompareOptions& b_opts,
                                             CellResult* out,
                                             ProgressReporter* progress) {
-  return submit_cell(runner, scenario, workload::page_spec(page),
-                     RunForm::kPage,
+  return submit_cell(runner, scenario, page,
                      {Protocol::kQuic, a_opts, "quic_a.", "_a", 7919},
                      {Protocol::kQuic, b_opts, "quic_b.", "_b", 104729}, out,
                      progress);
@@ -569,8 +575,8 @@ SweepRunner::Ticket compare_scenario_async(
     SweepRunner& runner, const Scenario& scenario,
     const workload::ScenarioSpec& spec, const CompareOptions& opts,
     CellResult* out, ProgressReporter* progress) {
-  return submit_cell(runner, scenario, spec, RunForm::kScenario,
-                     quic_arm(opts), tcp_arm(opts), out, progress);
+  return submit_cell(runner, scenario, spec, quic_arm(opts), tcp_arm(opts),
+                     out, progress);
 }
 
 std::vector<std::vector<CellResult>> run_plt_grid(
@@ -601,14 +607,6 @@ CellResult compare_quic_pair(const Scenario& scenario,
                              const CompareOptions& b_opts) {
   return run_cell([&](SweepRunner& runner, CellResult* out) {
     compare_quic_pair_async(runner, scenario, workload, a_opts, b_opts, out);
-  });
-}
-
-CellResult compare_scenario(const Scenario& scenario,
-                            const workload::ScenarioSpec& spec,
-                            const CompareOptions& opts) {
-  return run_cell([&](SweepRunner& runner, CellResult* out) {
-    compare_scenario_async(runner, scenario, spec, opts, out);
   });
 }
 

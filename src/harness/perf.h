@@ -9,18 +9,9 @@
 #include <optional>
 
 #include "harness/compare.h"
-#include "workload/executor.h"
 #include "workload/scenario.h"
 
 namespace longlook::harness {
-
-// Virtual-time result of one completed scenario run.
-struct ScenarioRunStats {
-  double duration_s = 0;  // connect initiation to last transaction's fin
-  std::uint64_t transactions = 0;
-  std::uint64_t upload_bytes = 0;    // request body bytes (headers excluded)
-  std::uint64_t download_bytes = 0;  // response bytes received
-};
 
 // Runs one scenario in a fresh testbed; returns stats or nullopt on
 // timeout. The token cache persists across calls via `tokens`, exactly like
@@ -44,9 +35,5 @@ SweepRunner::Ticket compare_scenario_async(
     SweepRunner& runner, const Scenario& scenario,
     const workload::ScenarioSpec& spec, const CompareOptions& opts,
     CellResult* out, ProgressReporter* progress = nullptr);
-
-CellResult compare_scenario(const Scenario& scenario,
-                            const workload::ScenarioSpec& spec,
-                            const CompareOptions& opts);
 
 }  // namespace longlook::harness

@@ -1,14 +1,16 @@
-// Unit/integration tests: testbed topology, the paired comparison runner
-// (statistics discipline), heatmap rendering, and the fairness runner.
+// Unit/integration tests: testbed topology, the single-run object, the
+// paired comparison runner (statistics discipline), heatmap rendering, and
+// the fairness runner.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "harness/compare.h"
 #include "harness/fairness.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
-#include "workload/executor.h"
+#include "obs/profiler.h"
 
 namespace longlook::harness {
 namespace {
@@ -16,18 +18,12 @@ namespace {
 TEST(Testbed, BaseRttIsAbout36Ms) {
   Scenario s;
   s.seed = 3;
-  Testbed tb(s);
+  CompareOptions opts;
+  opts.timeout = seconds(10);
   // Round-trip a QUIC handshake probe and read the server's RTT estimate.
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort, {},
-                                  tokens);
-  const workload::ScenarioSpec page = workload::page_spec({1, 100 * 1024});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
-  auto* conn = server.server().latest_connection();
+  SingleRun<Protocol::kQuic> run(s, {1, 100 * 1024}, opts);
+  ASSERT_TRUE(run.finish().has_value());
+  auto* conn = run.server().server().latest_connection();
   ASSERT_NE(conn, nullptr);
   // 36 ms base path, +-4% ambient perturbation + processing.
   EXPECT_NEAR(to_millis(conn->rtt().min_rtt()), 36.0, 4.0);
@@ -36,19 +32,45 @@ TEST(Testbed, BaseRttIsAbout36Ms) {
 TEST(Testbed, ExtraRttIsAddedToPath) {
   Scenario s;
   s.extra_rtt = milliseconds(100);
-  Testbed tb(s);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(), kQuicPort, {},
-                                  tokens);
-  const workload::ScenarioSpec page = workload::page_spec({1, 10 * 1024});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  ASSERT_TRUE(tb.run_until([&] { return loader.finished(); }, seconds(10)));
-  auto* conn = server.server().latest_connection();
+  CompareOptions opts;
+  opts.timeout = seconds(10);
+  SingleRun<Protocol::kQuic> run(s, {1, 10 * 1024}, opts);
+  ASSERT_TRUE(run.finish().has_value());
+  auto* conn = run.server().server().latest_connection();
   ASSERT_NE(conn, nullptr);
   EXPECT_NEAR(to_millis(conn->rtt().min_rtt()), 136.0, 8.0);
+}
+
+// The runner keeps a reference to a scenario's spec, so a temporary one is
+// rejected at compile time.
+static_assert(!std::is_constructible_v<SingleRun<Protocol::kQuic>,
+                                       const Scenario&, workload::ScenarioSpec,
+                                       const CompareOptions&>);
+
+// A held run folds its profile from the same testbed and server the caller
+// can still read after finish().
+template <Protocol P>
+void expect_held_run_folds() {
+  obs::Profiler profiler;
+  CompareOptions opts;
+  opts.profiler = &profiler;
+  SingleRun<P> run(Scenario{}, {4, 20 * 1024}, opts);
+  ASSERT_TRUE(run.finish().has_value());
+  EXPECT_NE(run.server().server().latest_connection(), nullptr);
+  const obs::ProfilerSnapshot snap = profiler.snapshot();
+  EXPECT_EQ(snap.counter("runs"), 1u);
+  Testbed& tb = run.testbed();
+  EXPECT_EQ(snap.counter("sim_events"), tb.sim().dispatched_events());
+  EXPECT_EQ(snap.counter("packets_forwarded"),
+            tb.uplink().stats().delivered + tb.downlink().stats().delivered);
+}
+
+TEST(SingleRun, QuicFoldsTheHeldRun) {
+  expect_held_run_folds<Protocol::kQuic>();
+}
+
+TEST(SingleRun, TcpFoldsTheHeldRun) {
+  expect_held_run_folds<Protocol::kTcp>();
 }
 
 TEST(Testbed, SameSeedReproducesIdenticalRuns) {

@@ -4,62 +4,59 @@
 #include <gtest/gtest.h>
 
 #include "harness/compare.h"
-#include "harness/testbed.h"
-#include "http/h2_session.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
 #include "proxy/quic_proxy.h"
 #include "proxy/tcp_proxy.h"
-#include "workload/executor.h"
 
 namespace longlook {
 namespace {
 
 using namespace longlook::harness;
 
+// The run's PLT once every object arrived whole; nullopt on timeout.
+template <Protocol P>
+std::optional<double> finish_intact(SingleRun<P>& run, std::size_t bytes) {
+  const auto stats = run.finish();
+  if (!stats) return std::nullopt;
+  for (const auto& obj : run.result().detail) {
+    EXPECT_EQ(obj.download_bytes, bytes);
+  }
+  return stats->duration_s;
+}
+
+// Page loads through a proxy on the mid host, placed as Figs. 17/18 do.
 std::optional<double> proxied_tcp_load(const Scenario& scenario,
                                        std::size_t objects, std::size_t bytes,
                                        std::size_t* served = nullptr) {
-  Testbed tb(scenario);
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), kTcpPort, {});
-  proxy::TcpProxy proxy(tb.sim(), tb.mid_host(), kProxyPort,
-                        tb.server_host().address(), kTcpPort, {});
-  http::H2ClientSession session(tb.sim(), tb.client_host(),
-                                tb.mid_host().address(), kProxyPort, {});
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  const bool done =
-      tb.run_until([&] { return loader.finished(); }, seconds(120));
-  if (served != nullptr) *served = server.service().requests_served();
-  if (!done) return std::nullopt;
-  for (const auto& obj : loader.result().detail) {
-    EXPECT_EQ(obj.download_bytes, bytes);
-  }
-  return to_seconds(loader.result().duration);
+  CompareOptions opts;
+  opts.timeout = seconds(120);
+  opts.tcp_connect_to_mid = true;
+  opts.tcp_connect_port = kProxyPort;
+  opts.setup = [](Testbed& tb) -> std::shared_ptr<void> {
+    return std::make_shared<proxy::TcpProxy>(
+        tb.sim(), tb.mid_host(), kProxyPort, tb.server_host().address(),
+        kTcpPort, tcp::TcpConfig{});
+  };
+  SingleRun<Protocol::kTcp> run(scenario, {objects, bytes}, opts);
+  const auto plt = finish_intact(run, bytes);
+  if (served != nullptr) *served = run.server().service().requests_served();
+  return plt;
 }
 
 std::optional<double> proxied_quic_load(const Scenario& scenario,
                                         std::size_t objects,
                                         std::size_t bytes,
                                         quic::TokenCache& tokens) {
-  Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), kQuicPort, {});
-  proxy::QuicProxy proxy(tb.sim(), tb.mid_host(), kProxyPort,
-                         tb.server_host().address(), kQuicPort, {});
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.mid_host().address(), kProxyPort, {},
-                                  tokens);
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  const bool done =
-      tb.run_until([&] { return loader.finished(); }, seconds(120));
-  if (!done) return std::nullopt;
-  for (const auto& obj : loader.result().detail) {
-    EXPECT_EQ(obj.download_bytes, bytes);
-  }
-  return to_seconds(loader.result().duration);
+  CompareOptions opts;
+  opts.timeout = seconds(120);
+  opts.quic_connect_to_mid = true;
+  opts.quic_connect_port = kProxyPort;
+  opts.setup = [](Testbed& tb) -> std::shared_ptr<void> {
+    return std::make_shared<proxy::QuicProxy>(
+        tb.sim(), tb.mid_host(), kProxyPort, tb.server_host().address(),
+        kQuicPort, quic::QuicConfig{});
+  };
+  SingleRun<Protocol::kQuic> run(scenario, {objects, bytes}, opts, &tokens);
+  return finish_intact(run, bytes);
 }
 
 TEST(TcpProxy, RelaysSingleObjectIntact) {

@@ -4,16 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "harness/compare.h"
-#include "harness/testbed.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
 #include "workload/executor.h"
 
 namespace longlook {
 namespace {
 
 using harness::Scenario;
-using harness::Testbed;
 
 struct QuicRun {
   std::optional<double> plt_s;
@@ -30,24 +26,17 @@ QuicRun run_quic(const Scenario& scenario, std::size_t objects,
                  std::size_t bytes, quic::QuicConfig config,
                  quic::TokenCache& tokens,
                  Duration timeout = seconds(120)) {
-  Testbed tb(scenario);
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), harness::kQuicPort,
-                                config);
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, config, tokens);
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  const bool done =
-      tb.run_until([&] { return loader.finished(); }, timeout);
-
+  harness::CompareOptions opts;
+  opts.quic = config;
+  opts.timeout = timeout;
+  harness::SingleRun<harness::Protocol::kQuic> run(scenario, {objects, bytes},
+                                                   opts, &tokens);
   QuicRun out;
-  out.page = loader.result();
-  if (done) out.plt_s = to_seconds(loader.result().duration);
-  out.cid = session.connection().connection_id();
-  out.handshake_rtts = session.connection().stats().handshake_round_trips;
-  if (auto* sc = server.server().latest_connection()) {
+  if (const auto stats = run.finish()) out.plt_s = stats->duration_s;
+  out.page = run.result();
+  out.cid = run.session().connection().connection_id();
+  out.handshake_rtts = run.session().connection().stats().handshake_round_trips;
+  if (auto* sc = run.server().server().latest_connection()) {
     out.packets_lost = sc->stats().packets_declared_lost;
     out.spurious = sc->stats().spurious_losses;
     out.server_cwnd = sc->congestion_window();

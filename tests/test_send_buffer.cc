@@ -9,14 +9,10 @@
 // kept every byte it ever wrote would hold all 64 MB.
 #include <gtest/gtest.h>
 
-#include "harness/testbed.h"
-#include "http/h2_session.h"
-#include "http/object_service.h"
-#include "http/quic_session.h"
+#include "harness/compare.h"
 #include "quic/stream.h"
 #include "util/rng.h"
 #include "util/send_buffer.h"
-#include "workload/executor.h"
 
 namespace longlook {
 namespace {
@@ -205,40 +201,18 @@ harness::Scenario download_path(bool lossy) {
   return s;
 }
 
-template <typename Server, typename Session>
-Download download(harness::Testbed& tb, Server& server, Session& session) {
-  const workload::ScenarioSpec page =
-      workload::page_spec({1, kObjectBytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
+template <harness::Protocol P>
+Download download(bool lossy) {
+  harness::CompareOptions opts;
+  opts.timeout = seconds(1200);
+  harness::SingleRun<P> run(download_path(lossy), {1, kObjectBytes}, opts);
   Download out;
-  out.done = tb.run_until([&] { return loader.finished(); }, seconds(1200));
-  out.bytes = loader.result().download_bytes;
-  if (const auto* sc = server.server().latest_connection()) {
+  out.done = run.finish().has_value();
+  out.bytes = run.result().download_bytes;
+  if (const auto* sc = run.server().server().latest_connection()) {
     out.server_peak = sc->send_buffer_peak();
   }
   return out;
-}
-
-Download quic_download(bool lossy) {
-  harness::Testbed tb(download_path(lossy));
-  http::QuicObjectServer server(tb.sim(), tb.server_host(), harness::kQuicPort,
-                                {});
-  quic::TokenCache tokens;
-  http::QuicClientSession session(tb.sim(), tb.client_host(),
-                                  tb.server_host().address(),
-                                  harness::kQuicPort, {}, tokens);
-  return download(tb, server, session);
-}
-
-Download tcp_download(bool lossy) {
-  harness::Testbed tb(download_path(lossy));
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), harness::kTcpPort,
-                               {});
-  http::H2ClientSession session(tb.sim(), tb.client_host(),
-                                tb.server_host().address(), harness::kTcpPort,
-                                {});
-  return download(tb, server, session);
 }
 
 void expect_bounded(const Download& d) {
@@ -249,16 +223,16 @@ void expect_bounded(const Download& d) {
 }
 
 TEST(SendBufferBound, QuicCleanDownload) {
-  expect_bounded(quic_download(false));
+  expect_bounded(download<harness::Protocol::kQuic>(false));
 }
 TEST(SendBufferBound, QuicLossyJitteryDownload) {
-  expect_bounded(quic_download(true));
+  expect_bounded(download<harness::Protocol::kQuic>(true));
 }
 TEST(SendBufferBound, TcpCleanDownload) {
-  expect_bounded(tcp_download(false));
+  expect_bounded(download<harness::Protocol::kTcp>(false));
 }
 TEST(SendBufferBound, TcpLossyJitteryDownload) {
-  expect_bounded(tcp_download(true));
+  expect_bounded(download<harness::Protocol::kTcp>(true));
 }
 
 }  // namespace

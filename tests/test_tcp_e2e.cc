@@ -4,16 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "harness/compare.h"
-#include "harness/testbed.h"
-#include "http/h2_session.h"
-#include "http/object_service.h"
 #include "workload/executor.h"
 
 namespace longlook {
 namespace {
 
 using harness::Scenario;
-using harness::Testbed;
 
 struct TcpRun {
   std::optional<double> plt_s;
@@ -26,22 +22,16 @@ struct TcpRun {
 TcpRun run_tcp(const Scenario& scenario, std::size_t objects,
                std::size_t bytes, tcp::TcpConfig config = {},
                Duration timeout = seconds(120)) {
-  Testbed tb(scenario);
-  http::TcpObjectServer server(tb.sim(), tb.server_host(), harness::kTcpPort,
-                               config);
-  http::H2ClientSession session(tb.sim(), tb.client_host(),
-                                tb.server_host().address(), harness::kTcpPort,
-                                config);
-  const workload::ScenarioSpec page = workload::page_spec({objects, bytes});
-  workload::ScenarioRunner loader(tb.sim(), session, page);
-  loader.start();
-  const bool done = tb.run_until([&] { return loader.finished(); }, timeout);
-
+  harness::CompareOptions opts;
+  opts.tcp = config;
+  opts.timeout = timeout;
+  harness::SingleRun<harness::Protocol::kTcp> run(scenario, {objects, bytes},
+                                                  opts);
   TcpRun out;
-  out.page = loader.result();
-  if (done) out.plt_s = to_seconds(loader.result().duration);
-  out.client_stats = session.connection().stats();
-  if (auto* sc = server.server().latest_connection()) {
+  if (const auto stats = run.finish()) out.plt_s = stats->duration_s;
+  out.page = run.result();
+  out.client_stats = run.session().connection().stats();
+  if (auto* sc = run.server().server().latest_connection()) {
     out.server_stats = sc->stats();
     out.server_dupthresh = sc->dupthresh();
   }
