@@ -11,9 +11,9 @@
 namespace longlook::obs {
 namespace {
 
-// Thread-local registry of enabled recorders: the check-fail observer walks
+// Thread-local registry of live recorders: the check-fail observer walks
 // the *failing* thread's recorders only, so parallel sweep workers dump
-// their own connections and nobody else's.
+// their own runs and nobody else's.
 thread_local std::vector<FlightRecorder*> t_recorders;
 thread_local std::uint64_t t_dumps = 0;
 // Re-entrancy latch: a check failing *inside* a dump (e.g. RingBuffer
@@ -61,9 +61,8 @@ void flight_recorder_check_observer(const CheckFailure& failure) {
 FlightRecorder::FlightRecorder(const FlightRecorderConfig& config,
                                TraceSink* downstream, std::string label)
     : config_(config), downstream_(downstream), label_(std::move(label)) {
-  if (!config_.enabled) return;
   t_recorders.push_back(this);
-  // First enabled recorder installs the process-wide observer; it stays
+  // The first recorder installs the process-wide observer; it stays
   // installed (an empty registry makes it a no-op walk).
   static std::atomic<bool> installed{false};
   if (!installed.exchange(true)) {
@@ -72,7 +71,6 @@ FlightRecorder::FlightRecorder(const FlightRecorderConfig& config,
 }
 
 FlightRecorder::~FlightRecorder() {
-  if (!config_.enabled) return;
   for (std::size_t i = 0; i < t_recorders.size(); ++i) {
     if (t_recorders[i] == this) {
       t_recorders.erase(t_recorders.begin() +
@@ -84,7 +82,6 @@ FlightRecorder::~FlightRecorder() {
 
 void FlightRecorder::record(const TraceEvent& event) {
   if (downstream_ != nullptr) downstream_->record(event);
-  if (!config_.enabled) return;
   buffer_record(event);
   check_pathology(event);
 }

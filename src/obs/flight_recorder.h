@@ -1,12 +1,14 @@
-// Per-connection crash-dump ring buffer (trace schema v3 `flight:` blocks).
+// Crash-dump ring buffer over a trace sink (trace schema v3 `flight:`
+// blocks).
 //
-// A FlightRecorder sits between a connection's emission sites and the run's
-// trace sink: it forwards every event downstream (when a sink is attached)
-// and keeps the most recent N rendered records in a bounded
-// util::RingBuffer. When an LL_CHECK/LL_INVARIANT fires — or an in-process
-// pathology trigger trips (retransmit storm / cwnd collapse, mirroring the
-// `tracectl detect` rules) — the ring is dumped as a standalone `flight:`
-// post-mortem artifact, turning assertion deaths into diagnosable traces.
+// A FlightRecorder is itself a TraceSink that wraps another one, for
+// example a run's `RunObserver::trace`: it forwards every event downstream
+// (when a sink is attached) and keeps the most recent N rendered records
+// in a bounded util::RingBuffer. When an LL_CHECK/LL_INVARIANT fires — or
+// an in-process pathology trigger trips (retransmit storm / cwnd collapse,
+// mirroring the `tracectl detect` rules) — the ring is dumped as a
+// standalone `flight:` post-mortem artifact, turning assertion deaths into
+// diagnosable traces.
 //
 // Dump artifact shape (docs/trace_schema.md §v3):
 //   {"t":<t_first>,"ev":"flight:dump","v":3,"label":...,"reason":...,
@@ -22,9 +24,9 @@
 // sink, so run artifacts stay byte-identical whether or not a recorder is
 // attached.
 //
-// Thread model: a recorder belongs to one connection inside one
-// single-threaded simulation; check-failure dumps walk a thread-local
-// registry, so parallel sweep workers never touch each other's recorders.
+// Thread model: a recorder belongs to one single-threaded simulation;
+// check-failure dumps walk a thread-local registry, so parallel sweep
+// workers never touch each other's recorders.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,6 @@ struct CheckFailure;
 namespace longlook::obs {
 
 struct FlightRecorderConfig {
-  bool enabled = false;
   // Ring capacity in records (rounded up to a power of two by RingBuffer).
   std::size_t capacity = 256;
   // Retransmit-storm trigger: dump when at least this many retransmission

@@ -6,17 +6,13 @@
 
 namespace longlook::obs {
 
-void StateSampler::add_connection(const Sampleable* conn, TraceSink* echo) {
+void StateSampler::add_connection(const Sampleable* conn) {
   LL_DCHECK(conn != nullptr);
-  conns_.push_back(ConnReg{conn, echo});
+  conns_.push_back(conn);
 }
 
 void StateSampler::remove_connection(const Sampleable* conn) {
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [conn](const ConnReg& r) {
-                                return r.conn == conn;
-                              }),
-               conns_.end());
+  conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
 }
 
 void StateSampler::add_queue(std::string dir,
@@ -35,34 +31,25 @@ std::size_t StateSampler::add_flow(std::string name,
   return flows_.size() - 1;
 }
 
-void StateSampler::emit_conn(TraceSink& sink, std::string_view proto,
-                             std::string_view side, std::uint64_t flow_id,
-                             const ConnSample& s, TimePoint now) {
-  sink.record(TraceEvent("ts:conn", now)
-                  .s("proto", proto)
-                  .s("side", side)
-                  .u("flow", flow_id)
-                  .u("cwnd", s.cwnd_bytes)
-                  .u("ssthresh", s.ssthresh_bytes)
-                  .i("srtt_ns", s.srtt_ns)
-                  .i("rttvar_ns", s.rttvar_ns)
-                  .u("inflight", s.bytes_in_flight)
-                  .u("pacing_bps", s.pacing_bps)
-                  .u("delivered", s.delivered_bytes));
-  ++records_;
-}
-
 void StateSampler::sample(TimePoint now) {
   ++ticks_;
-  for (const ConnReg& reg : conns_) {
-    TraceSink* sink = reg.echo != nullptr ? reg.echo : sink_;
-    if (sink == nullptr) continue;
-    ConnSample s;
-    reg.conn->sample_state(s);
-    emit_conn(*sink, reg.conn->sample_proto(), reg.conn->sample_side(),
-              reg.conn->sample_flow_id(), s, now);
-  }
   if (sink_ != nullptr) {
+    for (const Sampleable* conn : conns_) {
+      ConnSample s;
+      conn->sample_state(s);
+      sink_->record(TraceEvent("ts:conn", now)
+                        .s("proto", conn->sample_proto())
+                        .s("side", conn->sample_side())
+                        .u("flow", conn->sample_flow_id())
+                        .u("cwnd", s.cwnd_bytes)
+                        .u("ssthresh", s.ssthresh_bytes)
+                        .i("srtt_ns", s.srtt_ns)
+                        .i("rttvar_ns", s.rttvar_ns)
+                        .u("inflight", s.bytes_in_flight)
+                        .u("pacing_bps", s.pacing_bps)
+                        .u("delivered", s.delivered_bytes));
+      ++records_;
+    }
     for (const QueueReg& reg : queues_) {
       const QueueSample q = reg.probe();
       sink_->record(TraceEvent("ts:queue", now)

@@ -79,17 +79,14 @@ struct HostSample {
 class StateSampler {
  public:
   // `sink` may be null: sampling then only feeds retained flow timelines
-  // (run_fairness) and per-connection echo sinks (flight recorders).
+  // (run_fairness).
   explicit StateSampler(TraceSink* sink) : sink_(sink) {}
   StateSampler(const StateSampler&) = delete;
   StateSampler& operator=(const StateSampler&) = delete;
 
   // --- Registration (single-threaded with sample(); see class comment) ---
 
-  // `echo` overrides the destination for this connection's `ts:conn`
-  // records (a FlightRecorder tees them into its ring and forwards to the
-  // run sink); null uses the sampler's own sink.
-  void add_connection(const Sampleable* conn, TraceSink* echo = nullptr);
+  void add_connection(const Sampleable* conn);
   void remove_connection(const Sampleable* conn);
 
   void add_queue(std::string dir, std::function<QueueSample()> probe);
@@ -125,10 +122,6 @@ class StateSampler {
   std::uint64_t records_emitted() const { return records_; }
 
  private:
-  struct ConnReg {
-    const Sampleable* conn = nullptr;
-    TraceSink* echo = nullptr;
-  };
   struct QueueReg {
     std::string dir;
     std::function<QueueSample()> probe;
@@ -143,12 +136,8 @@ class StateSampler {
     std::vector<FlowPoint> timeline;
   };
 
-  void emit_conn(TraceSink& sink, std::string_view proto,
-                 std::string_view side, std::uint64_t flow_id,
-                 const ConnSample& s, TimePoint now);
-
   TraceSink* sink_ = nullptr;
-  std::vector<ConnReg> conns_;
+  std::vector<const Sampleable*> conns_;
   std::vector<QueueReg> queues_;
   std::vector<HostReg> hosts_;
   std::vector<FlowReg> flows_;

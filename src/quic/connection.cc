@@ -70,18 +70,8 @@ QuicConnection::QuicConnection(Simulator& sim, Host& host,
     bbr_ = bbr.get();
     cc_ = std::move(bbr);
   }
-  effective_trace_ = config_.trace;
-  if (config_.flight.enabled) {
-    flight_recorder_ = std::make_unique<obs::FlightRecorder>(
-        config_.flight, config_.trace,
-        std::string("quic_") + side() + "_" + std::to_string(cid_));
-    effective_trace_ = flight_recorder_.get();
-  }
   if (trace() != nullptr) cc_->set_trace(trace(), side());
-  // Echo this connection's ts:conn samples through the flight recorder so
-  // post-mortem dumps interleave samples with protocol events.
-  if (config_.sampler != nullptr)
-    config_.sampler->add_connection(this, flight_recorder_.get());
+  if (config_.sampler != nullptr) config_.sampler->add_connection(this);
 }
 
 QuicConnection::~QuicConnection() {
@@ -352,26 +342,10 @@ void QuicConnection::handle_ack(const AckFrame& ack, TimePoint now) {
     trace()->record(ev);
   }
 
-  // Re-queue lost data for retransmission under fresh packet numbers.
-  for (const StreamDataRef& ref : result.lost_data) {
-    if (ref.handshake) {
-      if (ref.offset < sent_handshake_log_.size()) {
-        pending_handshake_frames_.push_back(
-            sent_handshake_log_[static_cast<std::size_t>(ref.offset)]);
-      }
-    } else if (ref.window_update) {
-      if (ref.stream_id == 0) {
-        pending_window_updates_.push_back({0, conn_advertised_max_});
-      } else if (QuicStream* s = stream(ref.stream_id)) {
-        pending_window_updates_.push_back({ref.stream_id, s->advertised_max()});
-      }
-    } else if (QuicStream* s = stream(ref.stream_id)) {
-      s->requeue(ref.offset, ref.len, ref.fin);
-    }
-  }
+  requeue(result.lost_data);
 
   // Spuriously-lost data arrived after all: drop its queued retransmission.
-  // Runs after the requeue loop so a retransmission that was itself declared
+  // Runs after requeue() so a retransmission that was itself declared
   // lost in this same ACK still gets cancelled (the original delivered).
   for (const StreamDataRef& ref : result.spurious_data) {
     if (ref.handshake || ref.window_update) continue;
@@ -495,8 +469,10 @@ bool QuicConnection::build_and_send_packet(bool ack_only_allowed) {
   if (established_) for (QuicStream* s : send_order_) {
     if (!s->has_pending_data()) continue;
     if (s->blocked_by_stream_fc()) continue;
-    // New data also needs connection-level credit.
-    if (conn_allowance == 0 && s->bytes_sent() >= s->peer_max_offset()) {
+    // New data also needs connection-level credit; queued retransmissions
+    // were paid for when first sent.
+    if (conn_allowance == 0 && !s->has_retransmission_data() &&
+        s->bytes_sent() >= s->peer_max_offset()) {
       continue;
     }
     have_data = true;
@@ -690,6 +666,28 @@ void QuicConnection::send_quic_packet(QuicPacket&& pkt, bool retransmittable,
   host_.send(std::move(datagram));
 }
 
+void QuicConnection::requeue(const std::vector<StreamDataRef>& refs,
+                             bool window_updates) {
+  for (const StreamDataRef& ref : refs) {
+    if (ref.handshake) {
+      if (ref.offset < sent_handshake_log_.size()) {
+        pending_handshake_frames_.push_back(
+            sent_handshake_log_[static_cast<std::size_t>(ref.offset)]);
+      }
+    } else if (ref.window_update) {
+      if (!window_updates) continue;
+      // Re-advertise the current limit, not the one the packet carried.
+      if (ref.stream_id == 0) {
+        pending_window_updates_.push_back({0, conn_advertised_max_});
+      } else if (QuicStream* s = stream(ref.stream_id)) {
+        pending_window_updates_.push_back({ref.stream_id, s->advertised_max()});
+      }
+    } else if (QuicStream* s = stream(ref.stream_id)) {
+      s->requeue(ref.offset, ref.len, ref.fin);
+    }
+  }
+}
+
 void QuicConnection::maybe_note_app_limited() {
   if (!established_ || closed_) return;
   if (!cc_->can_send(spm_.bytes_in_flight())) return;  // congestion-limited
@@ -761,13 +759,7 @@ void QuicConnection::on_retransmission_alarm() {
                               .u("bytes", lp.bytes));
         }
       }
-      for (const StreamDataRef& ref : result.lost_data) {
-        if (QuicStream* s = stream(ref.stream_id); s != nullptr &&
-                                                   !ref.handshake &&
-                                                   !ref.window_update) {
-          s->requeue(ref.offset, ref.len, ref.fin);
-        }
-      }
+      requeue(result.lost_data);
       cc_->on_congestion_event(now, prior, {}, result.lost);
     }
     write_packets();
@@ -789,18 +781,7 @@ void QuicConnection::on_retransmission_alarm() {
                           .i("n", tlp_count_));
     }
     cc_->on_tail_loss_probe(now);
-    for (const StreamDataRef& ref : spm_.tail_loss_probe_data()) {
-      if (ref.handshake) {
-        if (ref.offset < sent_handshake_log_.size()) {
-          pending_handshake_frames_.push_back(
-              sent_handshake_log_[static_cast<std::size_t>(ref.offset)]);
-        }
-      } else if (!ref.window_update) {
-        if (QuicStream* s = stream(ref.stream_id)) {
-          s->requeue(ref.offset, ref.len, ref.fin);
-        }
-      }
-    }
+    requeue(spm_.tail_loss_probe_data(), /*window_updates=*/false);
     // A probe bypasses the congestion gate: send one packet directly.
     build_and_send_packet(false);
   } else {
@@ -812,23 +793,7 @@ void QuicConnection::on_retransmission_alarm() {
                           .s("side", side())
                           .i("n", consecutive_rto_));
     }
-    for (const StreamDataRef& ref : spm_.on_retransmission_timeout()) {
-      if (ref.handshake) {
-        if (ref.offset < sent_handshake_log_.size()) {
-          pending_handshake_frames_.push_back(
-              sent_handshake_log_[static_cast<std::size_t>(ref.offset)]);
-        }
-      } else if (ref.window_update) {
-        if (ref.stream_id == 0) {
-          pending_window_updates_.push_back({0, conn_advertised_max_});
-        } else if (QuicStream* s = stream(ref.stream_id)) {
-          pending_window_updates_.push_back(
-              {ref.stream_id, s->advertised_max()});
-        }
-      } else if (QuicStream* s = stream(ref.stream_id)) {
-        s->requeue(ref.offset, ref.len, ref.fin);
-      }
-    }
+    requeue(spm_.on_retransmission_timeout());
     cc_->on_retransmission_timeout(now);
     write_packets();
   }

@@ -19,7 +19,6 @@
 #include "cc/cubic_sender.h"
 #include "cc/rtt_estimator.h"
 #include "net/host.h"
-#include "obs/flight_recorder.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "quic/ack_manager.h"
@@ -61,9 +60,6 @@ struct QuicConfig {
   // Periodic state sampling (`ts:conn` records, schema v3). Null disables;
   // the sampler must outlive the connection. Not owned.
   obs::StateSampler* sampler = nullptr;
-  // Crash-dump ring buffer. When enabled, the connection routes its trace
-  // events through a private FlightRecorder wrapping `trace` above.
-  obs::FlightRecorderConfig flight{};
 
   LossDetectionConfig make_loss_config() const;
   CubicSenderConfig make_cc_config() const;
@@ -164,6 +160,12 @@ class QuicConnection : public obs::Sampleable {
   void on_established(std::size_t peer_window);
   QuicStream& get_or_create_stream(StreamId id);
   std::uint64_t connection_send_allowance() const;
+  // Hands the data of lost or probed packets back for sending under fresh
+  // packet numbers: handshake frames from the sent log, stream bytes to
+  // their stream, WINDOW_UPDATEs re-advertised at the current limit. A TLP
+  // passes `window_updates = false`: its packet stays in flight.
+  void requeue(const std::vector<StreamDataRef>& refs,
+               bool window_updates = true);
   void set_retransmission_alarm();
   void on_retransmission_alarm();
   void on_ack_alarm();
@@ -172,10 +174,9 @@ class QuicConnection : public obs::Sampleable {
   void send_quic_packet(QuicPacket&& pkt, bool retransmittable,
                         std::vector<StreamDataRef> data);
   bool stream_is_active(const QuicStream& s) const;
-  // Structured-trace helpers: effective sink pointer (the flight recorder
-  // when one is attached, else the configured sink; null == disabled) and
+  // Structured-trace helpers: the configured sink (null == disabled) and
   // the constant "side" tag for this endpoint's events.
-  obs::TraceSink* trace() const { return effective_trace_; }
+  obs::TraceSink* trace() const { return config_.trace; }
   const char* side() const {
     return perspective_ == Perspective::kClient ? "client" : "server";
   }
@@ -189,12 +190,6 @@ class QuicConnection : public obs::Sampleable {
   Port local_port_ = 0;
   QuicConfig config_;
   TokenCache* token_cache_;
-
-  // Optional crash-dump ring (config_.flight.enabled); wraps config_.trace.
-  std::unique_ptr<obs::FlightRecorder> flight_recorder_;
-  // What trace() returns: flight_recorder_.get() when present, else
-  // config_.trace (possibly null).
-  obs::TraceSink* effective_trace_ = nullptr;
 
   RttEstimator rtt_;
   std::unique_ptr<SendAlgorithm> cc_;

@@ -44,18 +44,8 @@ TcpConnection::TcpConnection(Simulator& sim, Host& host, TcpConfig config,
       delack_timer_(sim, [this] { on_delayed_ack_timer(); }),
       dupthresh_(config.dupthresh) {
   cc_ = std::make_unique<CubicSender>(rtt_, config_.make_cc_config());
-  effective_trace_ = config_.trace;
-  if (config_.flight.enabled) {
-    flight_recorder_ = std::make_unique<obs::FlightRecorder>(
-        config_.flight, config_.trace,
-        std::string("tcp_") + side() + "_" + std::to_string(sample_flow_id()));
-    effective_trace_ = flight_recorder_.get();
-  }
   if (trace() != nullptr) cc_->set_trace(trace(), side());
-  // Echo this connection's ts:conn samples through the flight recorder so
-  // post-mortem dumps interleave samples with protocol events.
-  if (config_.sampler != nullptr)
-    config_.sampler->add_connection(this, flight_recorder_.get());
+  if (config_.sampler != nullptr) config_.sampler->add_connection(this);
   app_recv_offset_ = config_.tls_enabled
                          ? (is_client ? kTlsClientInbound : kTlsServerInbound)
                          : 0;

@@ -15,13 +15,13 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 
 #include "cc/cubic_sender.h"
 #include "cc/rtt_estimator.h"
 #include "net/host.h"
-#include "obs/flight_recorder.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sim/timer.h"
@@ -53,9 +53,6 @@ struct TcpConfig {
   // Periodic state sampling (`ts:conn` records, schema v3). Null disables;
   // the sampler must outlive the connection. Not owned.
   obs::StateSampler* sampler = nullptr;
-  // Crash-dump ring buffer. When enabled, the connection routes its trace
-  // events through a private FlightRecorder wrapping `trace` above.
-  obs::FlightRecorderConfig flight{};
 
   CubicSenderConfig make_cc_config() const;
 };
@@ -187,10 +184,9 @@ class TcpConnection : public obs::Sampleable {
   void on_probe_timer();
   void on_delayed_ack_timer();
 
-  // Structured-trace helpers: effective sink pointer (the flight recorder
-  // when one is attached, else the configured sink; null == disabled) and
+  // Structured-trace helpers: the configured sink (null == disabled) and
   // the constant "side" tag for this endpoint's events.
-  obs::TraceSink* trace() const { return effective_trace_; }
+  obs::TraceSink* trace() const { return config_.trace; }
   const char* side() const { return is_client_ ? "client" : "server"; }
 
   Simulator& sim_;
@@ -201,12 +197,6 @@ class TcpConnection : public obs::Sampleable {
   Port local_port_ = 0;
   bool is_client_ = false;
   State state_ = State::kClosed;
-
-  // Optional crash-dump ring (config_.flight.enabled); wraps config_.trace.
-  std::unique_ptr<obs::FlightRecorder> flight_recorder_;
-  // What trace() returns: flight_recorder_.get() when present, else
-  // config_.trace (possibly null).
-  obs::TraceSink* effective_trace_ = nullptr;
 
   RttEstimator rtt_;
   std::unique_ptr<CubicSender> cc_;

@@ -115,48 +115,6 @@ def main_selftest() -> int:
         if code != 2:
             failures.append(f"{fixture}: expected exit 2 via CLI, got {code}")
 
-    # --- stale allowlist entries are a hard error ---------------------------
-    # An entry whose rule is active this run but matches nothing must fail
-    # the run (exit 2): stale suppressions would silently hide the next
-    # real finding at that site. An entry that does match stays legal.
-    with tempfile.TemporaryDirectory() as td:
-        stale = Path(td) / "stale_allowlist.txt"
-        stale.write_text(
-            "narrowing-time-arith no/such/file.cc\n", encoding="utf-8")
-        try:
-            analyze_paths([str(FIXTURES / "bad")], allowlist=stale)
-            failures.append(
-                "stale allowlist: expected AnalysisError, got none")
-        except AnalysisError as e:
-            if "stale allowlist" not in str(e):
-                failures.append(
-                    f"stale allowlist: error message missing "
-                    f"'stale allowlist': {e}")
-            # The error must say where the entry's fragment last matched —
-            # here the path fragment names a file that was never scanned.
-            if "path fragment matches no scanned file" not in str(e):
-                failures.append(
-                    f"stale allowlist: error lacks last-matched detail: {e}")
-        code, _, _ = run_main(
-            ["--allowlist", str(stale), str(FIXTURES / "bad")])
-        if code != 2:
-            failures.append(
-                f"stale allowlist: expected exit 2 via CLI, got {code}")
-
-        live = Path(td) / "live_allowlist.txt"
-        live.write_text(
-            "narrowing-time-arith fixtures/bad\n", encoding="utf-8")
-        try:
-            result = analyze_paths([str(FIXTURES / "bad")], allowlist=live)
-            expected_live = (total - EXPECTED_BAD["narrowing-time-arith"])
-            if len(result.findings) != expected_live:
-                failures.append(
-                    f"live allowlist: {len(result.findings)} findings after "
-                    f"allowlisting narrowing-time-arith, expected "
-                    f"{expected_live}")
-        except AnalysisError as e:
-            failures.append(f"live allowlist raised unexpectedly: {e}")
-
     # --- JSON report agrees with the text output ----------------------------
     with tempfile.TemporaryDirectory() as td:
         report = Path(td) / "report.json"

@@ -520,7 +520,6 @@ TEST(FlightRecorder, ForwardsDownstreamUnchangedAndBuffersWhenEnabled) {
   direct.record(rtx_event(1));
   obs::JsonLinesSink forwarded;
   obs::FlightRecorderConfig cfg;
-  cfg.enabled = true;
   obs::FlightRecorder recorder(cfg, &forwarded, "fwd_test");
   recorder.record(rtx_event(1));
   EXPECT_EQ(forwarded.text(), direct.text());
@@ -530,7 +529,6 @@ TEST(FlightRecorder, ForwardsDownstreamUnchangedAndBuffersWhenEnabled) {
 
 TEST(FlightRecorder, RingWraparoundKeepsNewestAndMarksTruncation) {
   obs::FlightRecorderConfig cfg;
-  cfg.enabled = true;
   cfg.capacity = 4;
   obs::FlightRecorder recorder(cfg, nullptr, "wrap_test");
   for (int i = 0; i < 10; ++i) recorder.record(rtx_event(i));
@@ -555,7 +553,6 @@ TEST(FlightRecorder, RetransmitStormDumpsOnceToConfiguredDir) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   obs::FlightRecorderConfig cfg;
-  cfg.enabled = true;
   cfg.storm_rtx_threshold = 3;
   cfg.storm_window = seconds(1);
   cfg.dump_dir = dir;
@@ -587,7 +584,6 @@ TEST(FlightRecorder, RetransmitStormDumpsOnceToConfiguredDir) {
 
 TEST(FlightRecorder, CwndCollapseLatchesOneDump) {
   obs::FlightRecorderConfig cfg;
-  cfg.enabled = true;
   cfg.collapse_divisor = 4;
   cfg.collapse_min_peak = 100 * 1024;
   obs::FlightRecorder recorder(cfg, nullptr, "collapse_test");
@@ -620,7 +616,6 @@ TEST(FlightRecorderDeathTest, CheckFailureDumpsRingBeforeAbort) {
   EXPECT_DEATH(
       {
         obs::FlightRecorderConfig cfg;
-        cfg.enabled = true;
         cfg.dump_dir = dir;
         obs::FlightRecorder recorder(cfg, nullptr, "check_test");
         recorder.record(rtx_event(1));

@@ -187,5 +187,54 @@ TEST(QuicE2E, MspcOneSerialisesRequests) {
   EXPECT_GT(*serial.plt_s, *multi.plt_s * 1.5);
 }
 
+// Flow-control windows far below the page, under loss and jitter: every
+// flight waits on a WINDOW_UPDATE, and retransmissions queue up behind spent
+// credit. Two stalls left the event queue empty with bytes undelivered, so
+// the run ended at under 2 s of sim time. The time-threshold alarm re-queued
+// only stream data, so a lost WINDOW_UPDATE or handshake frame was never sent
+// again. And once both credits were spent, the send loop skipped a stream
+// even when all it had queued were retransmissions, which need no credit.
+void expect_small_window_page_completes(quic::LossDetectionMode mode,
+                                        std::uint64_t seed,
+                                        Duration jitter = milliseconds(5)) {
+  Scenario s;
+  s.rate_bps = 10'000'000;
+  s.loss_rate = 0.05;
+  s.jitter = jitter;
+  s.seed = seed;
+  quic::QuicConfig cfg;
+  cfg.loss_mode = mode;
+  cfg.stream_window = 16 * 1024;
+  cfg.connection_window = 24 * 1024;
+  quic::TokenCache tokens;
+  constexpr std::size_t kBytes = 512 * 1024;
+  const QuicRun run = run_quic(s, 2, kBytes, cfg, tokens);
+  ASSERT_TRUE(run.plt_s.has_value()) << "seed " << seed << " stalled";
+  ASSERT_EQ(run.page.detail.size(), 2u);
+  for (const auto& obj : run.page.detail) {
+    EXPECT_EQ(obj.download_bytes, kBytes) << "seed " << seed;
+  }
+}
+
+TEST(QuicE2E, TimeThresholdLossWithSmallWindowsDeliversEveryByte) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    expect_small_window_page_completes(quic::LossDetectionMode::kTimeThreshold,
+                                       seed);
+  }
+}
+
+TEST(QuicE2E, AdaptiveNackWithSmallWindowsDeliversEveryByte) {
+  for (const std::uint64_t seed : {46, 96}) {
+    expect_small_window_page_completes(quic::LossDetectionMode::kAdaptiveNack,
+                                       seed);
+  }
+}
+
+// The default loss mode hit the second stall too, without jitter.
+TEST(QuicE2E, FixedNackWithSmallWindowsDeliversEveryByte) {
+  expect_small_window_page_completes(quic::LossDetectionMode::kFixedNack, 3,
+                                     kNoDuration);
+}
+
 }  // namespace
 }  // namespace longlook

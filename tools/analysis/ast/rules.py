@@ -35,6 +35,7 @@ from ..rules import _MUTATORS, _at, _is, _matching, _taint, RuleFinding
 from .astmodel import (
     Block, FunctionInfo, Stmt, TranslationUnit, is_narrow_int, walk_blocks,
 )
+from .parser import split_commas
 
 
 class ASTRule(NamedTuple):
@@ -53,30 +54,6 @@ def _src_only(rel: str) -> bool:
 
 
 # --- shared expression helpers ----------------------------------------------
-
-
-def _split_args(tokens: Sequence[Token]) -> List[List[Token]]:
-    """Top-level comma split with (), [], {} and template <> tracking."""
-    parts: List[List[Token]] = [[]]
-    depth = 0
-    angle = 0
-    for i, t in enumerate(tokens):
-        if t.kind == "op":
-            if t.text in ("(", "[", "{"):
-                depth += 1
-            elif t.text in (")", "]", "}"):
-                depth -= 1
-            elif t.text == "<" and i > 0 and tokens[i - 1].kind == "id":
-                angle += 1
-            elif t.text == ">" and angle > 0:
-                angle -= 1
-            elif t.text == ">>" and angle > 0:
-                angle = max(0, angle - 2)
-            elif t.text == "," and depth == 0 and angle == 0:
-                parts.append([])
-                continue
-        parts[-1].append(t)
-    return [p for p in parts if p]
 
 
 def _find_calls(tokens: Sequence[Token], names: Set[str]):
@@ -125,7 +102,7 @@ def _raw_this_captures(captures: List[Token],
     """Returns a description of the raw-`this` capture, or None when the
     capture list is safe. A weak/shared guard anywhere in the list makes
     the whole lambda safe (the PR 1 live-token idiom)."""
-    entries = _split_args(captures)
+    entries = split_commas(captures)
     for entry in entries:
         if any(_SAFE_CAPTURE_HINT.search(t.text) for t in entry
                if t.kind == "id"):
@@ -185,7 +162,7 @@ def _check_deferred_raw_this(tu: TranslationUnit) -> List[RuleFinding]:
                         reported = True
                 if reported:
                     continue
-                for arg in _split_args(args):
+                for arg in split_commas(args):
                     ids = [t.text for t in arg if t.kind == "id"]
                     core = [x for x in ids if x not in ("std", "move")]
                     if len(core) == 1 and core[0] in tainted:
@@ -685,7 +662,7 @@ def _check_cross_function_narrowing(tu: TranslationUnit) -> List[RuleFinding]:
                 if not narrow_params:
                     continue
                 close = _matching(tokens, i + 1, "(", ")")
-                args = _split_args(tokens[i + 2:close])
+                args = split_commas(tokens[i + 2:close])
                 for idx, ptype in narrow_params.items():
                     if idx >= len(args):
                         continue

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """CLI entry point for the flow-sensitive AST analyzer.
 
-    tools/analysis/ast/run_ast_analysis.py [--json OUT] [--rules a,b]
-        [--frontend auto|internal|clang] [--allowlist FILE]
-        [--budget-seconds N] PATH...
+    tools/analysis/ast/run_ast_analysis.py [--json OUT] [--list-rules]
+        [--frontend auto|internal|clang] [--budget-seconds N] PATH...
 
 Exit codes: 0 clean (or loud skip when `--frontend clang` finds no
 libclang), 1 unsuppressed findings, 2 usage/configuration error.

@@ -1,11 +1,18 @@
-"""Analyzer engine: file discovery, suppressions, reporting.
+"""Analyzer engine: shared by all three layers, plus the token layer.
+
+It owns file discovery, suppressions, the finding fold, reporting and the
+CLI. The AST layer (ast/engine.py) and the IPA layer (ipa/engine.py) plug
+into it and keep only what differs: the token layer checks each file's
+token stream, the AST layer builds a TU per file, and the IPA layer builds
+one whole-program model (and caches its report).
 
 Public surface (re-exported from tools/analysis/__init__.py):
 
   analyze_paths(paths, ...) -> AnalysisResult
   main(argv) -> exit code      (0 clean, 1 findings, 2 usage/config error)
 
-Suppression syntax, valid in // or /* */ comments:
+Suppression syntax, valid in // or /* */ comments, for a rule of any layer
+(the only way to silence a finding):
 
   // ll-analysis: allow(rule-a, rule-b) reason the finding is intended
 
@@ -23,13 +30,16 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
-from .lexer import Comment, tokenize
-from .rules import ALL_RULES, RULES_BY_NAME, Rule
+from .lexer import Comment, Token, tokenize
+from .rules import ALL_RULES, RULES_BY_NAME
 
 ALL_RULE_NAMES = tuple(r.name for r in ALL_RULES)
+
+# `--frontend` values of the AST and IPA layers.
+FRONTENDS = ("auto", "internal", "clang")
 
 _SOURCE_SUFFIXES = (".cc", ".cpp", ".cxx", ".h", ".hpp", ".hh")
 
@@ -57,24 +67,15 @@ class AnalysisError(Exception):
     """Configuration error (bad suppression, bad path): exit code 2."""
 
 
-def _known_rule_names() -> set:
-    """Token-layer plus AST-layer plus IPA-layer rule names. Suppressions
-    and allowlists may name a rule from any layer (the AST and IPA engines
-    reuse this file's machinery), so validation always runs against the
-    union. Imported lazily: analysis.ast / analysis.ipa import back into
-    this module."""
-    names = set(RULES_BY_NAME)
-    try:
-        from .ast.rules import AST_RULES_BY_NAME
-        names |= set(AST_RULES_BY_NAME)
-    except ImportError:
-        pass
-    try:
-        from .ipa.rules import IPA_RULES_BY_NAME
-        names |= set(IPA_RULES_BY_NAME)
-    except ImportError:
-        pass
-    return names
+def known_rule_names() -> Set[str]:
+    """Token-, AST- and IPA-layer rule names: a suppression may name a rule
+    of any layer, so every layer validates against this one union.
+    Imported lazily: analysis.ast and analysis.ipa import back into this
+    module."""
+    from .ast.rules import AST_RULES_BY_NAME
+    from .ipa.rules import IPA_RULES_BY_NAME
+    return (set(RULES_BY_NAME) | set(AST_RULES_BY_NAME)
+            | set(IPA_RULES_BY_NAME))
 
 
 class Finding(NamedTuple):
@@ -94,10 +95,9 @@ class AnalysisResult(NamedTuple):
     suppressed: int
     files_scanned: int
     # Per-rule breakdowns (additive; the report stays "version": 1).
-    # suppressed_by_rule counts inline + allowlist suppressions keyed by
-    # rule name; rule_elapsed is wall-clock seconds spent inside each
-    # rule's check() summed over files. Defaults keep older construction
-    # sites (three positional fields) working unchanged.
+    # suppressed_by_rule counts inline suppressions keyed by rule name;
+    # rule_elapsed is wall-clock seconds spent inside each rule's check()
+    # summed over files.
     suppressed_by_rule: Dict[str, int] = {}
     rule_elapsed: Dict[str, float] = {}
 
@@ -171,49 +171,23 @@ def _parse_suppressions(
     return suppressed
 
 
-def analyze_file(
-    fs_path: Path, rel: str, rules: Sequence[Rule],
-    suppressed_by_rule: Optional[Dict[str, int]] = None,
-    rule_elapsed: Optional[Dict[str, float]] = None,
-) -> Tuple[List[Finding], int]:
-    """Analyzes one file; returns (findings, suppressed_count).
+class Source(NamedTuple):
+    """One scanned file as the engine reads it, for every layer."""
+    rel: str                 # repo-relative, '/'-separated
+    path: Path
+    lines: List[str]
+    tokens: List[Token]
+    suppressions: Set[Tuple[int, str]]   # (line, rule) pairs
 
-    When the caller passes accumulator dicts, inline suppressions are
-    counted per rule name and rule.check() wall-clock is summed per rule.
-    """
-    text = fs_path.read_text(encoding="utf-8", errors="replace")
-    lines = text.splitlines()
+
+def read_source(rel: str, path: Path) -> Source:
+    text = path.read_text(encoding="utf-8", errors="replace")
     tokens, comments = tokenize(text)
-    # Suppressions must name *any* known rule (any layer), not just the
-    # active subset, so a `--rules` run doesn't choke on suppressions for
-    # other or AST-layer rules.
-    suppressions = _parse_suppressions(
-        comments, tokens, rel, _known_rule_names())
-    findings: List[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if not rule.applies_to(rel):
-            continue
-        started = time.monotonic()
-        hits = list(rule.check(tokens))
-        if rule_elapsed is not None:
-            rule_elapsed[rule.name] = (
-                rule_elapsed.get(rule.name, 0.0)
-                + (time.monotonic() - started))
-        for line, message in hits:
-            if (line, rule.name) in suppressions:
-                suppressed += 1
-                if suppressed_by_rule is not None:
-                    suppressed_by_rule[rule.name] = \
-                        suppressed_by_rule.get(rule.name, 0) + 1
-                continue
-            snippet = lines[line - 1].strip() if 0 < line <= len(lines) \
-                else ""
-            findings.append(Finding(rel, line, rule.name, message, snippet))
-    return findings, suppressed
+    return Source(rel, path, text.splitlines(), tokens, _parse_suppressions(
+        comments, tokens, rel, known_rule_names()))
 
 
-def _iter_source_files(root: Path, arg: Path) -> Iterable[Path]:
+def _iter_source_files(arg: Path) -> Iterable[Path]:
     if arg.is_file():
         yield arg
         return
@@ -248,188 +222,147 @@ def _check_allowed(root: Path, arg: Path) -> None:
             "never scanned)")
 
 
-def _load_allowlist(path: Path) -> List[Tuple[str, str, Optional[str]]]:
-    """--allowlist FILE: '<rule> <path-substring> [<line-substr>]'."""
-    entries = []
-    if not path.is_file():
-        return entries
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(None, 2)
-        if len(parts) < 2:
-            raise AnalysisError(
-                f"{path}: malformed allowlist line: {raw!r}")
-        rule, frag = parts[0], parts[1]
-        line_frag = parts[2] if len(parts) > 2 else None
-        if rule not in _known_rule_names():
-            raise AnalysisError(
-                f"{path}: unknown rule '{rule}' in allowlist")
-        entries.append((rule, frag, line_frag))
-    return entries
-
-
-def _allowlist_match(
-    f: Finding, entries: Sequence[Tuple[str, str, Optional[str]]],
-) -> Optional[int]:
-    """Index of the first matching allowlist entry, or None."""
-    for k, (rule, frag, line_frag) in enumerate(entries):
-        if f.rule != rule or frag not in f.path:
-            continue
-        if line_frag is None or line_frag in f.snippet:
-            return k
-    return None
-
-
-def _allowlisted(
-    f: Finding, entries: Sequence[Tuple[str, str, Optional[str]]],
-) -> bool:
-    return _allowlist_match(f, entries) is not None
-
-
-def _stale_entry_trace(
-    frag: str, line_frag: Optional[str],
-    scanned: Sequence[Tuple[str, Path]],
-) -> str:
-    """Where a stale allowlist entry last matched: the file:line whose
-    content still carries the entry's line fragment (the code survives but
-    the rule no longer fires there), or a note that the fragment is gone
-    entirely. Only runs on the error path, so re-reading files is fine."""
-    candidates = [(rel, fs) for rel, fs in scanned if frag in rel]
-    if not candidates:
-        return "path fragment matches no scanned file"
-    if line_frag is None:
-        rel = candidates[0][0]
-        extra = f" (+{len(candidates) - 1} more)" if len(candidates) > 1 \
-            else ""
-        return f"path still matches {rel}{extra}, rule fired nowhere in it"
-    for rel, fs in candidates:
-        text = fs.read_text(encoding="utf-8", errors="replace")
-        last = None
-        for n, line in enumerate(text.splitlines(), 1):
-            if line_frag in line:
-                last = n
-        if last is not None:
-            return (f"line content last matched at {rel}:{last}, "
-                    "rule no longer fires there")
-    return (f"line fragment no longer appears in any matching file "
-            f"(checked {', '.join(rel for rel, _ in candidates)})")
-
-
-def check_stale_allowlist(
-    entries: Sequence[Tuple[str, str, Optional[str]]],
-    used: Set[int], active_rule_names: Set[str],
-    scanned: Sequence[Tuple[str, Path]] = (),
-) -> None:
-    """Hard-errors on entries whose rule was active this run yet matched
-    nothing — stale suppressions must not rot silently. Entries for rules
-    outside the active set (e.g. other rules' entries during a `--rules`
-    run) are left alone. When the caller passes the
-    scanned (rel, fs_path) list, each stale entry's message pins the
-    file:line its fragment last matched, so the reporter can tell "code
-    deleted" from "rule stopped firing" without a manual grep."""
-    stale = [entries[k] for k in range(len(entries))
-             if k not in used and entries[k][0] in active_rule_names]
-    if stale:
-        rendered = ", ".join(
-            "'" + " ".join(x for x in (r, frag, lf) if x) + "'"
-            + (f" [{_stale_entry_trace(frag, lf, scanned)}]"
-               if scanned else "")
-            for r, frag, lf in stale)
-        raise AnalysisError(
-            f"stale allowlist entries matched no finding: {rendered} — "
-            "delete them (a stale suppression hides the next real "
-            "finding at that site)")
-
-
-def analyze_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[Path] = None,
-    allowlist: Optional[Path] = None,
-) -> AnalysisResult:
-    root = (root or repo_root()).resolve()
-    rules = list(rules) if rules is not None else list(ALL_RULES)
-    entries = _load_allowlist(allowlist) if allowlist else []
-    findings: List[Finding] = []
-    used_entries: Set[int] = set()
-    suppressed = 0
-    suppressed_by_rule: Dict[str, int] = {}
-    rule_elapsed: Dict[str, float] = {}
-    scanned_files: List[Tuple[str, Path]] = []
+def walk(paths: Sequence[str], root: Path) -> Iterator[Tuple[str, Path]]:
+    """Yields (repo-relative name, path) for every source file under the
+    path arguments. Lazy, so a per-file layer meets a bad path or a bad
+    suppression in argument order."""
     for arg in paths:
         p = Path(arg)
         if not p.exists():
             raise AnalysisError(f"no such path: {arg}")
         _check_allowed(root, p)
-        for f in _iter_source_files(root, p):
+        for f in _iter_source_files(p):
             try:
                 rel = f.resolve().relative_to(root).as_posix()
             except ValueError:
                 rel = f.as_posix()
-            file_findings, file_suppressed = analyze_file(
-                f, rel, rules, suppressed_by_rule, rule_elapsed)
-            scanned_files.append((rel, f))
-            suppressed += file_suppressed
-            for finding in file_findings:
-                k = _allowlist_match(finding, entries)
-                if k is not None:
-                    used_entries.add(k)
-                    suppressed += 1
-                    suppressed_by_rule[finding.rule] = \
-                        suppressed_by_rule.get(finding.rule, 0) + 1
-                else:
-                    findings.append(finding)
-    check_stale_allowlist(entries, used_entries, {r.name for r in rules},
-                          scanned_files)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return AnalysisResult(findings, suppressed, len(scanned_files),
-                          suppressed_by_rule, rule_elapsed)
+            yield rel, f
 
 
-def main(argv: Sequence[str]) -> int:
+class Tally:
+    """The finding fold: each rule's check() is timed through run(), each
+    raw hit goes through add() (suppressed, or kept with its source line
+    as the snippet), and result() sorts what is left."""
+
+    def __init__(self) -> None:
+        self.findings: List[Finding] = []
+        self.suppressed_by_rule: Dict[str, int] = {}
+        self.rule_elapsed: Dict[str, float] = {}
+
+    def run(self, rule, subject) -> list:
+        started = time.monotonic()
+        hits = list(rule.check(subject))
+        self.rule_elapsed[rule.name] = (
+            self.rule_elapsed.get(rule.name, 0.0)
+            + (time.monotonic() - started))
+        return hits
+
+    def add(self, src: Source, line: int, rule: str, message: str) -> None:
+        if (line, rule) in src.suppressions:
+            self.suppressed_by_rule[rule] = \
+                self.suppressed_by_rule.get(rule, 0) + 1
+            return
+        lines = src.lines
+        snippet = lines[line - 1].strip() if 0 < line <= len(lines) else ""
+        self.findings.append(Finding(src.rel, line, rule, message, snippet))
+
+    def result(self, files_scanned: int) -> AnalysisResult:
+        self.findings.sort(key=lambda f: (f.path, f.line, f.rule))
+        return AnalysisResult(
+            self.findings, sum(self.suppressed_by_rule.values()),
+            files_scanned, self.suppressed_by_rule, self.rule_elapsed)
+
+
+def analyze_each_file(
+    paths: Sequence[str], rules: Sequence,
+    subject: Callable[[Source, Path], object], root: Optional[Path] = None,
+) -> AnalysisResult:
+    """The per-file layers: every rule that applies to a file checks
+    `subject(source, root)`, its token stream or its TU."""
+    root = (root or repo_root()).resolve()
+    tally = Tally()
+    scanned = 0
+    for rel, path in walk(paths, root):
+        src = read_source(rel, path)
+        scanned += 1
+        checked = subject(src, root)
+        for rule in rules:
+            if rule.applies_to(rel):
+                for line, message in tally.run(rule, checked):
+                    tally.add(src, line, rule.name, message)
+    return tally.result(scanned)
+
+
+def analyze_paths(
+    paths: Sequence[str], root: Optional[Path] = None,
+) -> AnalysisResult:
+    return analyze_each_file(
+        paths, ALL_RULES, lambda src, _root: src.tokens, root)
+
+
+# --- CLI ---------------------------------------------------------------------
+
+
+def _frontend(value: str) -> str:
+    if value not in FRONTENDS:
+        raise ValueError(value)
+    return value
+
+
+# Options that take a value, in usage order: flag -> (metavar, parser,
+# complaint when the value is missing or malformed). Every layer takes
+# --json; each layer names which of the others it takes.
+_VALUE_OPTIONS = {
+    "--json": ("OUT", Path, "--json needs a file argument"),
+    "--frontend": ("|".join(FRONTENDS), _frontend,
+                   f"--frontend needs one of: {', '.join(FRONTENDS)}"),
+    "--cache": ("FILE", Path, "--cache needs a file argument"),
+    "--budget-seconds": ("N", float, "--budget-seconds needs a number"),
+}
+
+
+class Layer(NamedTuple):
+    """What one analyzer layer plugs into the shared CLI."""
+    # "ast"/"ipa": reports carry the layer, its frontend and the elapsed
+    # time ("ast-analysis[internal]: ... in 1.2s"). "" for the token layer,
+    # which has no frontend ("analysis: ...").
+    name: str
+    script: str                  # entry script, named in the usage lines
+    doc: str                     # printed by -h
+    rules: Sequence              # printed by --list-rules
+    options: Tuple[str, ...]     # value options taken besides --json
+    # analyze(paths, options, warnings) -> (result, extra --json keys,
+    # note appended to the summary line)
+    analyze: Callable[[List[str], dict, List[str]],
+                      Tuple[AnalysisResult, dict, str]]
+
+
+def run_cli(layer: Layer, argv: Sequence[str]) -> int:
+    """Every layer's main(): parses argv, runs the layer, reports."""
     args = list(argv[1:])
-    json_out: Optional[Path] = None
-    rule_filter: Optional[List[Rule]] = None
-    allowlist: Optional[Path] = None
+    accepted = ("--json",) + layer.options
+    opts: dict = {"--frontend": "auto"}  # read only by the frontend layers
     paths: List[str] = []
     i = 0
     while i < len(args):
         a = args[i]
-        if a == "--json":
+        if a in accepted:
+            _, parse, complaint = _VALUE_OPTIONS[a]
             i += 1
-            if i >= len(args):
-                print("--json needs a file argument", file=sys.stderr)
+            try:
+                opts[a] = parse(args[i])
+            except (IndexError, ValueError):
+                print(complaint, file=sys.stderr)
                 return 2
-            json_out = Path(args[i])
-        elif a == "--rules":
-            i += 1
-            if i >= len(args):
-                print("--rules needs a comma-separated list",
-                      file=sys.stderr)
-                return 2
-            names = [x.strip() for x in args[i].split(",") if x.strip()]
-            unknown = [x for x in names if x not in RULES_BY_NAME]
-            if unknown:
-                print(f"unknown rule(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return 2
-            rule_filter = [RULES_BY_NAME[x] for x in names]
-        elif a == "--allowlist":
-            i += 1
-            if i >= len(args):
-                print("--allowlist needs a file argument", file=sys.stderr)
-                return 2
-            allowlist = Path(args[i])
         elif a == "--list-rules":
-            for r in ALL_RULES:
+            for r in layer.rules:
                 print(f"{r.name}: {r.doc}")
             return 0
         elif a in ("-h", "--help"):
-            print(__doc__)
-            print("usage: run_analysis.py [--json OUT] [--rules a,b] "
-                  "[--allowlist FILE] PATH...")
+            print(layer.doc)
+            print(f"usage: {layer.script} " + "".join(
+                f"[{flag} {meta}] " for flag, (meta, _, _)
+                in _VALUE_OPTIONS.items() if flag in accepted) + "PATH...")
             return 0
         elif a.startswith("-"):
             print(f"unknown option: {a}", file=sys.stderr)
@@ -438,21 +371,58 @@ def main(argv: Sequence[str]) -> int:
             paths.append(a)
         i += 1
     if not paths:
-        print("usage: run_analysis.py [--json OUT] PATH...", file=sys.stderr)
+        print(f"usage: {layer.script} [--json OUT] PATH...", file=sys.stderr)
         return 2
+    frontend = opts["--frontend"]
+    if frontend == "clang":
+        from .ast.clang_frontend import clang_available
+        ok, detail = clang_available()
+        if not ok:
+            # Loud skip, success exit: mirrors run_clang_tidy.sh so CI legs
+            # that install libclang conditionally stay green without it.
+            print(f"SKIP: {layer.name}-analysis clang frontend unavailable: "
+                  f"{detail}", file=sys.stderr)
+            print("SKIP: install libclang + python3-clang to run this leg; "
+                  "the internal frontend still gates via "
+                  "`--frontend internal`", file=sys.stderr)
+            return 0
+    started = time.monotonic()
+    warnings: List[str] = []
     try:
-        result = analyze_paths(paths, rules=rule_filter, allowlist=allowlist)
+        result, extra, note = layer.analyze(paths, opts, warnings)
     except AnalysisError as e:
         print(f"analysis error: {e}", file=sys.stderr)
         return 2
+    elapsed = time.monotonic() - started
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
     for f in result.findings:
         print(f.render())
-    if json_out is not None:
-        json_out.write_text(
-            json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
-    print(
-        f"analysis: {len(result.findings)} finding(s), "
-        f"{result.suppressed} suppressed, "
-        f"{result.files_scanned} file(s) scanned",
-        file=sys.stderr)
+    payload = result.to_json()
+    tag = "analysis"
+    if layer.name:
+        payload.update(layer=layer.name, frontend=frontend,
+                       elapsed_seconds=round(elapsed, 3), **extra)
+        tag = f"{layer.name}-analysis[{frontend}]"
+        note = f" in {elapsed:.1f}s{note}"
+    if "--json" in opts:
+        opts["--json"].write_text(
+            json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"{tag}: {len(result.findings)} finding(s), "
+          f"{result.suppressed} suppressed, "
+          f"{result.files_scanned} file(s) scanned{note}", file=sys.stderr)
+    budget = opts.get("--budget-seconds")
+    if budget is not None and elapsed > budget:
+        print(f"analysis error: wall-clock budget exceeded "
+              f"({elapsed:.1f}s > {budget:.1f}s)", file=sys.stderr)
+        return 2
     return 1 if result.findings else 0
+
+
+TOKEN_LAYER = Layer("", "run_analysis.py", __doc__, ALL_RULES, (),
+                    lambda paths, _opts, _warnings:
+                    (analyze_paths(paths), {}, ""))
+
+
+def main(argv: Sequence[str]) -> int:
+    return run_cli(TOKEN_LAYER, argv)

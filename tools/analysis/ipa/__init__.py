@@ -5,10 +5,10 @@ The whole-program layer above the CFG-lite AST layer: a call graph
 callback-registration edges for deferred lambdas), per-function summaries
 (locks acquired/held, pool handles released, callback parameters that
 escape into the event queue, blocking operations), and four rules for the
-bug classes that only appear across call boundaries. Shares the token
-engine's Finding format, --json report shape, exit codes, inline
-`ll-analysis: allow(...)` suppressions, and stale-allowlist hard errors.
-See docs/static_analysis.md for the rule catalog.
+bug classes that only appear across call boundaries. Runs on the shared
+engine (tools/analysis/engine.py): the same Finding format, --json
+report shape, exit codes and inline `ll-analysis: allow(...)`
+suppressions. See docs/static_analysis.md for the rule catalog.
 """
 
 from .engine import analyze_paths_ipa, main  # noqa: F401

@@ -31,7 +31,7 @@ from ..lexer import Token
 from ..rules import _at, _is, _matching
 from ..ast import parser as internal_parser
 from ..ast.astmodel import Block, FunctionInfo, Stmt, TranslationUnit
-from ..ast.rules import _DEFER_FNS, _find_lambdas, _split_args
+from ..ast.rules import _DEFER_FNS, _find_lambdas
 
 # Lock-holder declaration types (RAII): scope = rest of enclosing block.
 _LOCK_DECL_TYPES = ("MutexLock", "lock_guard", "unique_lock", "scoped_lock")
@@ -275,7 +275,7 @@ def _stmt_call_sites(stmt: Stmt, env: _Env,
         if _in_spans(i, spans):
             continue
         close = _matching(tokens, i + 1, "(", ")")
-        args = _split_args(tokens[i + 2:close])
+        args = internal_parser.split_commas(tokens[i + 2:close])
         receiver = None
         receiver_type = None
         kind = "direct"
@@ -363,7 +363,7 @@ def _stmt_blocking(stmt: Stmt, env: _Env,
                     base.text.rstrip("_").endswith("cv") or \
                     base.text.startswith("cv"):
                 close = _matching(tokens, i + 1, "(", ")")
-                args = _split_args(tokens[i + 2:close])
+                args = internal_parser.split_commas(tokens[i + 2:close])
                 waited = None
                 if args:
                     lk = _core_arg_name(args[0])

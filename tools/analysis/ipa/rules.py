@@ -29,9 +29,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from ..ast.astmodel import Block, Stmt
+from ..ast.parser import split_commas
 from ..ast.rules import (
     _DEFER_FNS, _SAFE_CAPTURE_HINT, _find_lambdas, _raw_this_captures,
-    _split_args,
 )
 from .callgraph import (
     FunctionNode, Program, _Env, releases_in_stmt,
@@ -306,7 +306,7 @@ def _capture_hazards(caps, in_method: bool, direct: bool):
     raw-this cases, so only explicit by-reference locals (and default
     &-capture in free functions) are reported; for indirect escapes every
     raw-this and by-ref form is in scope."""
-    entries = _split_args(caps)
+    entries = split_commas(caps)
     for entry in entries:
         if any(_SAFE_CAPTURE_HINT.search(t.text) for t in entry
                if t.kind == "id"):

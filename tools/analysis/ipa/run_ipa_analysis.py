@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """CLI for the interprocedural analyzer (tools/analysis/ipa).
 
-Usage: run_ipa_analysis.py [--json OUT] [--rules a,b]
+Usage: run_ipa_analysis.py [--json OUT] [--list-rules]
                            [--frontend auto|internal|clang]
-                           [--allowlist FILE] [--cache FILE]
-                           [--budget-seconds N] PATH...
+                           [--cache FILE] [--budget-seconds N] PATH...
 
 Exit codes: 0 clean, 1 findings, 2 usage/config error. `--frontend
 clang` without libclang prints a loud SKIP and exits 0 (mirrors

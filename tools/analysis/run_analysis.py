@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""CLI entry point for the longlook analyzer.
+"""CLI entry point for the longlook token-layer analyzer.
 
-    tools/analysis/run_analysis.py [--json OUT] [--rules a,b]
-                                   [--allowlist FILE] PATH...
+    tools/analysis/run_analysis.py [--json OUT] [--list-rules] PATH...
 
 Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/configuration error.
+The only way to silence a finding is an inline
+`// ll-analysis: allow(<rule>) <reason>` comment (docs/static_analysis.md).
 """
 
 import sys
