@@ -118,9 +118,10 @@ int main(int argc, char** argv) {
                       std::llround(baseline * 1e6));
     ctx.record_scalar("Ablations", a.name + " variant_us",
                       std::llround(variant * 1e6));
+    std::string change = delta >= 0 ? "+" : "";
+    change += format_fixed(delta, 1) + "%";
     rows.push_back({a.name, format_fixed(baseline, 3), format_fixed(variant, 3),
-                    (delta >= 0 ? "+" : "") + format_fixed(delta, 1) + "%",
-                    a.expectation});
+                    change, a.expectation});
   }
   std::fputc('\n', stderr);
   print_table(std::cout, "QUIC mechanism ablations (PLT seconds)",

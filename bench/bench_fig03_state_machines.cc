@@ -11,27 +11,19 @@ namespace {
 using namespace longlook;
 using namespace longlook::harness;
 
-// Runs one transfer and feeds the server's CC trace into the inference.
-void trace_run(smi::StateMachineInference& cubic_inf,
-               smi::StateMachineInference* bbr_inf, const Scenario& s,
-               std::size_t objects, std::size_t bytes,
+// Runs one transfer and feeds the server's `family` state trace into `inf`.
+void trace_run(smi::StateMachineInference& inf, const char* family,
+               const Scenario& s, std::size_t objects, std::size_t bytes,
                quic::CcAlgorithm algo) {
+  smi::StateRecorder recorder(family);
   CompareOptions opts;
   opts.quic.cc_algorithm = algo;
+  opts.quic.trace = &recorder;
   opts.timeout = seconds(300);
   longlook::bench::apply(opts);
   SingleRun<Protocol::kQuic> run(s, Workload{objects, bytes}, opts);
   run.finish();
-  auto* conn = run.server().server().latest_connection();
-  if (conn == nullptr) return;
-  const TimePoint end = run.testbed().sim().now();
-  if (algo == quic::CcAlgorithm::kCubic) {
-    cubic_inf.add_trace(smi::trace_from_tracker(
-        conn->send_algorithm().tracker(), TimePoint{}, end));
-  } else if (bbr_inf != nullptr && conn->bbr() != nullptr) {
-    bbr_inf->add_trace(
-        smi::trace_from_bbr(conn->bbr()->bbr_trace(), TimePoint{}, end));
-  }
+  inf.add_trace(recorder.trace(TimePoint{}, run.testbed().sim().now()));
 }
 
 }  // namespace
@@ -75,11 +67,11 @@ int main(int argc, char** argv) {
   for (const Scenario& base : scenarios) {
     Scenario s = base;
     s.seed = static_cast<std::uint64_t>(seed++);
-    trace_run(cubic_inf, nullptr, s, 1, 5 * 1024 * 1024,
+    trace_run(cubic_inf, "cc:state", s, 1, 5 * 1024 * 1024,
               quic::CcAlgorithm::kCubic);
-    trace_run(cubic_inf, nullptr, s, 100, 10 * 1024,
+    trace_run(cubic_inf, "cc:state", s, 100, 10 * 1024,
               quic::CcAlgorithm::kCubic);
-    trace_run(cubic_inf, &bbr_inf, s, 1, 20 * 1024 * 1024,
+    trace_run(bbr_inf, "cc:bbr_state", s, 1, 20 * 1024 * 1024,
               quic::CcAlgorithm::kBbr);
   }
 

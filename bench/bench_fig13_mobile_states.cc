@@ -21,13 +21,11 @@ smi::StateMachineInference infer_for_device(const DeviceProfile& dev) {
     s.rate_bps = 50'000'000;
     s.device = dev;
     s.seed = 900 + static_cast<std::uint64_t>(r);
+    smi::StateRecorder recorder("cc:state");
+    opts.quic.trace = &recorder;
     SingleRun<Protocol::kQuic> run(s, Workload{1, 20 * 1024 * 1024}, opts);
     run.finish();
-    if (auto* conn = run.server().server().latest_connection()) {
-      inf.add_trace(smi::trace_from_tracker(conn->send_algorithm().tracker(),
-                                            TimePoint{},
-                                            run.testbed().sim().now()));
-    }
+    inf.add_trace(recorder.trace(TimePoint{}, run.testbed().sim().now()));
   }
   return inf;
 }

@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
     quic::QuicConfig cfg;
     cfg.version = quic::deployed_profile(version);
     const double plt = mean_plt(cfg, big);
-    longlook::bench::context().record_scalar(
-        "Historical versions", "v" + std::to_string(version) + "_mean_us",
-        std::llround(plt * 1e6));
+    std::string key = "v";
+    key += std::to_string(version) + "_mean_us";
+    longlook::bench::context().record_scalar("Historical versions", key,
+                                             std::llround(plt * 1e6));
     if (version == 34) v34 = plt;
     rows.push_back({"QUIC " + std::to_string(version),
                     std::to_string(cfg.version.macw_packets),

@@ -17,16 +17,14 @@ namespace {
 void collect_trace(smi::StateMachineInference& inference,
                    const harness::Scenario& scenario, std::size_t objects,
                    std::size_t bytes) {
+  smi::StateRecorder recorder("cc:state");
   harness::CompareOptions opts;
   opts.timeout = seconds(120);
+  opts.quic.trace = &recorder;
   harness::SingleRun<harness::Protocol::kQuic> run(scenario, {objects, bytes},
                                                    opts);
   run.finish();
-  if (auto* conn = run.server().server().latest_connection()) {
-    inference.add_trace(smi::trace_from_tracker(
-        conn->send_algorithm().tracker(), TimePoint{},
-        run.testbed().sim().now()));
-  }
+  inference.add_trace(recorder.trace(TimePoint{}, run.testbed().sim().now()));
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ void BbrLite::emit_window(TimePoint now) {
 
 void BbrLite::enter(TimePoint now, BbrState s) {
   if (s == state_) return;
-  trace_.push_back({now, state_, s});
   if (trace_sink_ != nullptr) {
     trace_sink_->record(obs::TraceEvent("cc:bbr_state", now)
                             .s("side", trace_side_)

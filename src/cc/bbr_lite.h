@@ -5,7 +5,8 @@
 // that state-machine inference adapts to a new CC with little effort
 // (Fig. 3b took ~5 hours of instrumentation). We reproduce exactly that:
 // a functional BBR with a max-bandwidth filter, min-RTT probing, and a
-// pacing-gain cycle, emitting a named state trace for smi/.
+// pacing-gain cycle, emitting its transitions as "cc:bbr_state" events for
+// smi/.
 #pragma once
 
 #include <deque>
@@ -24,12 +25,6 @@ struct BbrConfig {
   Duration min_rtt_window = seconds(10);
   Duration probe_rtt_duration = milliseconds(200);
   int bw_filter_rounds = 10;
-};
-
-struct BbrTransition {
-  TimePoint at{};
-  BbrState from;
-  BbrState to;
 };
 
 class BbrLite final : public SendAlgorithm {
@@ -61,7 +56,6 @@ class BbrLite final : public SendAlgorithm {
   void set_trace(obs::TraceSink* sink, std::string side) override;
 
   BbrState state() const { return state_; }
-  const std::vector<BbrTransition>& bbr_trace() const { return trace_; }
   double bandwidth_estimate_bps() const { return max_bandwidth_bps_; }
 
   std::uint64_t pacing_rate_bps() const override {
@@ -79,7 +73,6 @@ class BbrLite final : public SendAlgorithm {
   BbrConfig config_;
   BbrState state_ = BbrState::kStartup;
   StateTracker cc_tracker_;  // coarse Table-3 mirror for shared tooling
-  std::vector<BbrTransition> trace_;
 
   std::size_t cwnd_ = 0;
   double pacing_gain_ = 2.885;

@@ -4,8 +4,8 @@
 //   TCP flavour — N=1, no pacing, Linux-style HyStart clamp.
 //
 // It also owns the Table-3 state machine: every transition is reported to
-// the StateTracker, which is what the paper's added instrumentation did to
-// Chromium (Sec. 5.1).
+// the StateTracker, which emits it as a "cc:state" event and keeps no log.
+// That is what the paper's added instrumentation did to Chromium (Sec. 5.1).
 #pragma once
 
 #include <algorithm>

@@ -54,12 +54,9 @@ class SendAlgorithm {
   virtual StateTracker& tracker() = 0;
   virtual const StateTracker& tracker() const = 0;
 
-  // Attach a structured-trace sink: state transitions (and, for senders that
-  // override this, window/pacing updates) are emitted as obs events tagged
-  // with `side`. Null detaches.
-  virtual void set_trace(obs::TraceSink* sink, std::string side) {
-    tracker().set_trace(sink, std::move(side));
-  }
+  // Attach a structured-trace sink: state transitions and window/pacing
+  // updates are emitted as obs events tagged with `side`. Null detaches.
+  virtual void set_trace(obs::TraceSink* sink, std::string side) = 0;
 };
 
 }  // namespace longlook

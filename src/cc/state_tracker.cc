@@ -28,30 +28,13 @@ std::string_view to_string(BbrState s) {
 
 void StateTracker::transition(TimePoint now, CcState to) {
   if (to == state_) return;
-  StateTransitionRecord rec{now, state_, to};
-  trace_.push_back(rec);
-  state_ = to;
-  entered_ = now;
-  if (listener_) listener_(rec);
   if (trace_sink_ != nullptr) {
     trace_sink_->record(obs::TraceEvent("cc:state", now)
                             .s("side", trace_side_)
-                            .s("from", to_string(rec.from))
-                            .s("to", to_string(rec.to)));
+                            .s("from", to_string(state_))
+                            .s("to", to_string(to)));
   }
-}
-
-std::vector<double> StateTracker::time_in_state(TimePoint end) const {
-  std::vector<double> out(8, 0.0);
-  CcState cur = trace_.empty() ? state_ : trace_.front().from;
-  TimePoint since{};
-  for (const auto& rec : trace_) {
-    out[static_cast<std::size_t>(cur)] += to_seconds(rec.at - since);
-    cur = rec.to;
-    since = rec.at;
-  }
-  if (end > since) out[static_cast<std::size_t>(cur)] += to_seconds(end - since);
-  return out;
+  state_ = to;
 }
 
 }  // namespace longlook

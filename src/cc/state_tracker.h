@@ -1,27 +1,20 @@
 // Execution-trace instrumentation for state-machine inference.
 //
 // This is the reproduction of the paper's "23 lines of code in 5 files":
-// senders report every CC state transition here; the tracker records the
-// timestamped trace that smi/ later turns into the inferred state machine,
-// visit statistics, and time-in-state fractions (Figs. 3 and 13).
+// senders report every CC state transition here, and the tracker emits it
+// as a "cc:state" event. It keeps only the current state, no log: the event
+// stream is the one record of state history, which smi::StateRecorder
+// turns into the traces behind the inferred state machines, visit
+// statistics and time-in-state fractions (Figs. 3 and 13).
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "cc/types.h"
 #include "obs/trace.h"
 #include "util/time.h"
 
 namespace longlook {
-
-struct StateTransitionRecord {
-  TimePoint at{};
-  CcState from;
-  CcState to;
-};
 
 class StateTracker {
  public:
@@ -31,19 +24,9 @@ class StateTracker {
   void transition(TimePoint now, CcState to);
 
   CcState state() const { return state_; }
-  const std::vector<StateTransitionRecord>& trace() const { return trace_; }
 
-  // Closes out the trace at `end` and returns seconds spent per state.
-  // Indexed by static_cast<size_t>(CcState).
-  std::vector<double> time_in_state(TimePoint end) const;
-
-  // Optional external listener (used by tests and live dashboards).
-  void set_listener(std::function<void(const StateTransitionRecord&)> fn) {
-    listener_ = std::move(fn);
-  }
-
-  // Optional structured-trace sink: each transition is also emitted as a
-  // "cc:state" event tagged with `side` ("client"/"server"). Null disables.
+  // Structured-trace sink: each transition is emitted as a "cc:state"
+  // event tagged with `side` ("client"/"server"). Null disables.
   void set_trace(obs::TraceSink* sink, std::string side) {
     trace_sink_ = sink;
     trace_side_ = std::move(side);
@@ -51,9 +34,6 @@ class StateTracker {
 
  private:
   CcState state_;
-  TimePoint entered_{};
-  std::vector<StateTransitionRecord> trace_;
-  std::function<void(const StateTransitionRecord&)> listener_;
   obs::TraceSink* trace_sink_ = nullptr;
   std::string trace_side_;
 };

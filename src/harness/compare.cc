@@ -487,8 +487,9 @@ SweepRunner::Ticket submit_cell(
   // worker eventually runs the round.
   cell->dir = trace_directory(a.opts);
   if (!cell->dir.empty()) {
-    cell->label = "c" + std::to_string(g_cell_counter.fetch_add(1)) + "_" +
-                  sanitize_label(scenario.name);
+    cell->label = "c";
+    cell->label += std::to_string(g_cell_counter.fetch_add(1)) + "_";
+    cell->label += sanitize_label(scenario.name);
     std::filesystem::create_directories(cell->dir);
   }
   cell->arms = {std::move(a), std::move(b)};

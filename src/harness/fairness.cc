@@ -110,7 +110,6 @@ std::vector<FlowReport> run_fairness(const Scenario& scenario,
   // client-delivered bytes), plus the testbed's queue/host series when a
   // sink is attached. Retained points rebuild the FlowReport timelines.
   obs::StateSampler sampler(sink);
-  sampler.set_retain_flows(true);
   if (sink != nullptr) detail::register_testbed_probes(sampler, tb);
   for (auto& flow : flows) {
     Flow* raw_flow = flow.get();

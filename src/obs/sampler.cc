@@ -81,7 +81,7 @@ void StateSampler::sample(TimePoint now) {
                         .u("delivered", s.delivered_bytes));
       ++records_;
     }
-    if (retain_flows_) reg.timeline.push_back(FlowPoint{now, s});
+    reg.timeline.push_back(FlowPoint{now, s});
   }
 }
 

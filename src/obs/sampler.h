@@ -95,12 +95,10 @@ class StateSampler {
   // Harness-level flow probes (run_fairness): sampled like connections but
   // the caller owns the snapshot logic (e.g. client-delivered bytes joined
   // with the server-side cwnd). Emitted as `ts:flow` records keyed by
-  // `name`. Returns the flow's index for flow_timeline().
+  // `name`, and every sample is also retained in memory so the caller can
+  // rebuild timelines without re-parsing the artifact. Returns the flow's
+  // index for flow_timeline().
   std::size_t add_flow(std::string name, std::function<ConnSample()> probe);
-
-  // When enabled, every flow sample is also retained in memory so the
-  // caller can rebuild timelines without re-parsing the artifact.
-  void set_retain_flows(bool retain) { retain_flows_ = retain; }
 
   struct FlowPoint {
     TimePoint at{};
@@ -141,7 +139,6 @@ class StateSampler {
   std::vector<QueueReg> queues_;
   std::vector<HostReg> hosts_;
   std::vector<FlowReg> flows_;
-  bool retain_flows_ = false;
   std::uint64_t ticks_ = 0;
   std::uint64_t records_ = 0;
 };

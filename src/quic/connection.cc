@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "cc/bbr_lite.h"
 #include "util/logging.h"
 
 namespace longlook::quic {
@@ -66,9 +67,7 @@ QuicConnection::QuicConnection(Simulator& sim, Host& host,
   } else {
     BbrConfig bbr_cfg;
     bbr_cfg.initial_cwnd_packets = config_.initial_cwnd_packets;
-    auto bbr = std::make_unique<BbrLite>(rtt_, bbr_cfg);
-    bbr_ = bbr.get();
-    cc_ = std::move(bbr);
+    cc_ = std::make_unique<BbrLite>(rtt_, bbr_cfg);
   }
   if (trace() != nullptr) cc_->set_trace(trace(), side());
   if (config_.sampler != nullptr) config_.sampler->add_connection(this);

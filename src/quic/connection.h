@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "cc/bbr_lite.h"
 #include "cc/cubic_sender.h"
 #include "cc/rtt_estimator.h"
 #include "net/host.h"
@@ -137,7 +136,6 @@ class QuicConnection : public obs::Sampleable {
   // Highest byte count any one stream's send buffer held.
   std::size_t send_buffer_peak() const;
   const QuicConfig& config() const { return config_; }
-  BbrLite* bbr() { return bbr_; }
 
   // obs::Sampleable — periodic `ts:conn` snapshots (obs/sampler.h).
   void sample_state(obs::ConnSample& out) const override;
@@ -194,7 +192,6 @@ class QuicConnection : public obs::Sampleable {
   RttEstimator rtt_;
   std::unique_ptr<SendAlgorithm> cc_;
   CubicSender* cubic_ = nullptr;  // non-owning view when algo == kCubic
-  BbrLite* bbr_ = nullptr;        // non-owning view when algo == kBbr
   SentPacketManager spm_;
   AckManager ack_manager_;
   Timer retransmission_timer_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string_view>
 
 namespace longlook::smi {
 
@@ -13,45 +14,24 @@ double round_to(double value, double scale) {
 }
 }  // namespace
 
-Trace trace_from_tracker(const StateTracker& tracker, TimePoint start,
-                         TimePoint end) {
-  Trace trace;
-  trace.end = end;
-  const auto& recs = tracker.trace();
-  // Initial state.
-  const CcState initial = recs.empty() ? tracker.state() : recs.front().from;
-  trace.events.push_back({start, std::string(to_string(initial))});
-  for (const auto& rec : recs) {
-    trace.events.push_back({rec.at, std::string(to_string(rec.to))});
+void StateRecorder::record(const obs::TraceEvent& event) {
+  if (event.name() != family_) return;
+  std::string_view side;
+  std::string_view from;
+  std::string_view to;
+  for (const obs::TraceField& f : event.fields()) {
+    if (f.key == "side") side = f.s;
+    if (f.key == "from") from = f.s;
+    if (f.key == "to") to = f.s;
   }
-  return trace;
+  if (side != "server") return;
+  if (states_.empty()) states_.push_back({TimePoint{}, std::string(from)});
+  states_.push_back({event.at(), std::string(to)});
 }
 
-Trace trace_from_bbr(const std::vector<BbrTransition>& transitions,
-                     TimePoint start, TimePoint end) {
-  Trace trace;
-  trace.end = end;
-  const BbrState initial =
-      transitions.empty() ? BbrState::kStartup : transitions.front().from;
-  trace.events.push_back({start, std::string(to_string(initial))});
-  for (const auto& t : transitions) {
-    trace.events.push_back({t.at, std::string(to_string(t.to))});
-  }
-  return trace;
-}
-
-Trace trace_from_obs(const std::vector<obs::StoredEvent>& events,
-                     TimePoint start, TimePoint end, std::string_view side) {
-  Trace trace;
-  trace.end = end;
-  for (const obs::StoredEvent& ev : events) {
-    if (ev.name != "cc:state") continue;
-    if (!side.empty() && ev.str("side") != side) continue;
-    if (trace.events.empty()) {
-      trace.events.push_back({start, std::string(ev.str("from"))});
-    }
-    trace.events.push_back({ev.at, std::string(ev.str("to"))});
-  }
+Trace StateRecorder::trace(TimePoint start, TimePoint end) const {
+  Trace trace{states_, end};
+  if (!trace.events.empty()) trace.events.front().at = start;
   return trace;
 }
 

@@ -1,8 +1,9 @@
 // State-machine inference from execution traces (the paper's Synoptic [15]
 // role, Sec. 5.1).
 //
-// Input: one or more timestamped state traces captured by the CC
-// instrumentation (cc/StateTracker or BbrLite's transition log). Output:
+// Input: one or more timestamped state traces, read off a run's event
+// stream by StateRecorder (the "cc:state" transitions every sender emits,
+// or BBR's "cc:bbr_state"; the senders keep no log of their own). Output:
 // the inferred transition digraph with visit counts, per-edge transition
 // probabilities, per-state time fractions (the red numbers in Fig. 13),
 // Graphviz DOT text, and simple Synoptic-style temporal invariants.
@@ -11,10 +12,9 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cc/bbr_lite.h"
-#include "cc/state_tracker.h"
 #include "obs/trace.h"
 #include "util/time.h"
 
@@ -30,18 +30,25 @@ struct Trace {
   TimePoint end{};                 // when observation stopped
 };
 
-// Adapters from the instrumented senders.
-Trace trace_from_tracker(const StateTracker& tracker, TimePoint start,
-                         TimePoint end);
-Trace trace_from_bbr(const std::vector<BbrTransition>& transitions,
-                     TimePoint start, TimePoint end);
-// Adapter from the structured event stream (obs::RecordingSink): consumes
-// "cc:state" events, optionally restricted to one side ("client"/"server").
-// This is the general path — any instrumented sender that emits cc:state
-// events feeds inference without bespoke StateTracker plumbing.
-Trace trace_from_obs(const std::vector<obs::StoredEvent>& events,
-                     TimePoint start, TimePoint end,
-                     std::string_view side = {});
+// Records the server's state transitions from a run's event stream: set it
+// as the run's trace sink (QuicConfig::trace), run, then read the trace.
+// `family` names the machine: "cc:state" (the Table-3 machine every sender
+// reports) or "cc:bbr_state" (BBR's own). Other events and the client's
+// transitions are ignored.
+class StateRecorder final : public obs::TraceSink {
+ public:
+  explicit StateRecorder(std::string family) : family_(std::move(family)) {}
+
+  void record(const obs::TraceEvent& event) override;
+
+  // The first transition's `from` at `start`, then each `to` at its time;
+  // no events when the server never changed state.
+  Trace trace(TimePoint start, TimePoint end) const;
+
+ private:
+  std::string family_;
+  std::vector<TraceEvent> states_;  // states_[0].at is set by trace()
+};
 
 class StateMachineInference {
  public:

@@ -10,6 +10,7 @@
 #include "cc/pacer.h"
 #include "cc/prr.h"
 #include "cc/rtt_estimator.h"
+#include "obs/trace.h"
 
 namespace longlook {
 namespace {
@@ -418,6 +419,8 @@ TEST(BbrLite, WalksStartupDrainProbeBw) {
   RttEstimator rtt;
   BbrConfig cfg;
   BbrLite bbr(rtt, cfg);
+  obs::RecordingSink events;
+  bbr.set_trace(&events, "server");
   EXPECT_EQ(bbr.state(), BbrState::kStartup);
   TimePoint now{};
   PacketNumber pn = 1;
@@ -434,10 +437,10 @@ TEST(BbrLite, WalksStartupDrainProbeBw) {
     bbr.on_congestion_event(now, 10 * kMss, acked, {});
   }
   EXPECT_EQ(bbr.state(), BbrState::kProbeBw);
-  // The named trace must include the Drain transition for Fig. 3b.
+  // The event stream must include the Drain transition for Fig. 3b.
   bool saw_drain = false;
-  for (const auto& t : bbr.bbr_trace()) {
-    if (t.to == BbrState::kDrain) saw_drain = true;
+  for (const obs::StoredEvent& ev : events.events()) {
+    if (ev.name == "cc:bbr_state" && ev.str("to") == "Drain") saw_drain = true;
   }
   EXPECT_TRUE(saw_drain);
   EXPECT_GT(bbr.bandwidth_estimate_bps(), 0);

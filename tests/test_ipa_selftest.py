@@ -18,7 +18,8 @@ ctest instead of failing open:
   * the --json report is valid, agrees with the text output, and carries
     the call-graph stats;
   * `--cache` replays an identical report on unchanged inputs and
-    invalidates on any content change;
+    invalidates on any content change, including an edit to the
+    analyzer's own rule code;
   * `--frontend clang` produces byte-identical findings to the internal
     frontend when libclang is present, and degrades to a loud skip
     (exit 0) when it is not.
@@ -31,6 +32,8 @@ Usage: test_ipa_selftest.py   (exit 0 pass, 1 fail)
 
 import io
 import json
+import shutil
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -229,6 +232,49 @@ def main_selftest() -> int:
              "--json", str(r2), str(FIXTURES / "bad")])
         if "cache hit" in err3:
             failures.append("cache: stale key still replayed")
+
+        # An edit to the analyzer's own code must invalidate too: a copy of
+        # tools/analysis whose pool-use-after-release rule returns nothing
+        # must rerun under the cache its unedited self wrote.
+        copy = Path(td) / "tools" / "analysis"
+        shutil.copytree(REPO / "tools" / "analysis", copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        copy_cache = Path(td) / "copy.cache.json"
+
+        def run_copy():
+            return subprocess.run(
+                [sys.executable, str(copy / "ipa" / "run_ipa_analysis.py"),
+                 "--frontend", "internal", "--cache", str(copy_cache),
+                 str(copy / "ipa" / "fixtures" / "bad")],
+                capture_output=True, text=True, check=False)
+
+        cold = run_copy()
+        if cold.returncode != 1 or not copy_cache.is_file():
+            failures.append(
+                f"cache: copied analyzer's cold run exited "
+                f"{cold.returncode} or wrote no cache\n{cold.stderr}")
+        rules = copy / "ipa" / "rules.py"
+        registered = '"pool-use-after-release", _src_only, _check_pool_uar,'
+        text = rules.read_text(encoding="utf-8")
+        if registered not in text:
+            failures.append(
+                "cache: pool-use-after-release registration not found in "
+                "the copied ipa/rules.py; update the edit this case makes")
+        rules.write_text(text.replace(
+            registered,
+            '"pool-use-after-release", _src_only, lambda _program: [],'),
+            encoding="utf-8")
+        edited = run_copy()
+        expected = total - EXPECTED_BAD["pool-use-after-release"]
+        found = [ln for ln in edited.stdout.splitlines() if ln.strip()]
+        if "cache hit" in edited.stderr:
+            failures.append(
+                "cache: replayed a stale report after an edit to a rule "
+                "module")
+        if len(found) != expected:
+            failures.append(
+                f"cache: edited analyzer printed {len(found)} finding(s), "
+                f"expected {expected} with pool-use-after-release silenced")
 
     # --- frontend parity: clang findings byte-identical to internal ---------
     ok, detail = clang_available()

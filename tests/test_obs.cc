@@ -237,16 +237,14 @@ TEST(TraceSchema, TcpRunEmitsDocumentedEvents) {
 
 TEST(TraceSchema, CcStateEventsFeedSmiInference) {
   const Workload workload{1, 512 * 1024};
-  const CompareOptions opts;
-  obs::RecordingSink rec;
-  RunObserver observer{&rec, nullptr, ""};
-  quic::TokenCache tokens;
+  smi::StateRecorder rec("cc:state");
+  CompareOptions opts;
+  opts.quic.trace = &rec;
   Scenario s = lossy_scenario();
   s.loss_rate = 0.02;
-  const auto plt = run_quic_page_load(s, workload, opts, tokens, &observer);
-  ASSERT_TRUE(plt.has_value());
-  const smi::Trace trace = smi::trace_from_obs(
-      rec.events(), TimePoint{}, rec.events().back().at, "server");
+  harness::SingleRun<harness::Protocol::kQuic> run(s, workload, opts);
+  ASSERT_TRUE(run.finish().has_value());
+  const smi::Trace trace = rec.trace(TimePoint{}, run.testbed().sim().now());
   ASSERT_GE(trace.events.size(), 2u);
   EXPECT_EQ(trace.events[0].state, "Init");
   smi::StateMachineInference inf;
@@ -452,7 +450,6 @@ TEST(StateSampler, EmitsRegistrationOrderedIntegerRecords) {
 
 TEST(StateSampler, NullSinkRetainsFlowTimelinesWithoutEmitting) {
   obs::StateSampler sampler(nullptr);
-  sampler.set_retain_flows(true);
   std::uint64_t delivered = 0;
   const std::size_t idx = sampler.add_flow("QUIC", [&delivered] {
     obs::ConnSample s;

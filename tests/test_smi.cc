@@ -1,6 +1,6 @@
 // Unit tests: state-machine inference — transition counts/probabilities,
 // time-in-state fractions, Synoptic-style invariants, DOT output, and the
-// adapters from the CC instrumentation.
+// StateRecorder that reads traces off the CC instrumentation's events.
 #include <gtest/gtest.h>
 
 #include "cc/state_tracker.h"
@@ -107,7 +107,7 @@ TEST(Inference, DotOutputRoundsHalfUp) {
 }
 
 TEST(Inference, TraceFromObsEventsFiltersBySide) {
-  obs::RecordingSink rec;
+  StateRecorder rec("cc:state");
   rec.record(obs::TraceEvent("cc:state", TimePoint{} + milliseconds(5))
                  .s("side", "server")
                  .s("from", "SlowStart")
@@ -119,8 +119,11 @@ TEST(Inference, TraceFromObsEventsFiltersBySide) {
                  .s("side", "client")
                  .s("from", "SlowStart")
                  .s("to", "CongestionAvoidance"));  // other side: filtered
-  const Trace t = trace_from_obs(rec.events(), TimePoint{},
-                                 TimePoint{} + milliseconds(20), "server");
+  rec.record(obs::TraceEvent("cc:bbr_state", TimePoint{} + milliseconds(12))
+                 .s("side", "server")
+                 .s("from", "Startup")
+                 .s("to", "Drain"));  // other family: ignored
+  const Trace t = rec.trace(TimePoint{}, TimePoint{} + milliseconds(20));
   ASSERT_EQ(t.events.size(), 2u);
   EXPECT_EQ(t.events[0].state, "SlowStart");  // synthesised initial state
   EXPECT_EQ(t.events[0].at, TimePoint{});
@@ -130,12 +133,13 @@ TEST(Inference, TraceFromObsEventsFiltersBySide) {
 }
 
 TEST(Inference, TrackerAdapterIncludesInitialState) {
+  StateRecorder rec("cc:state");
   StateTracker tracker(CcState::kInit);
+  tracker.set_trace(&rec, "server");
   tracker.transition(TimePoint{} + milliseconds(5), CcState::kSlowStart);
   tracker.transition(TimePoint{} + milliseconds(15),
                      CcState::kCongestionAvoidance);
-  const Trace t = trace_from_tracker(tracker, TimePoint{},
-                                     TimePoint{} + milliseconds(20));
+  const Trace t = rec.trace(TimePoint{}, TimePoint{} + milliseconds(20));
   ASSERT_EQ(t.events.size(), 3u);
   EXPECT_EQ(t.events[0].state, "Init");
   EXPECT_EQ(t.events[1].state, "SlowStart");
@@ -155,33 +159,12 @@ TEST(Inference, EmptyTraceIgnored) {
 }
 
 TEST(StateTrackerUnit, NoOpOnSameState) {
+  obs::RecordingSink rec;
   StateTracker tracker(CcState::kSlowStart);
+  tracker.set_trace(&rec, "server");
   tracker.transition(TimePoint{} + milliseconds(1), CcState::kSlowStart);
-  EXPECT_TRUE(tracker.trace().empty());
-}
-
-TEST(StateTrackerUnit, ListenerSeesTransitions) {
-  StateTracker tracker(CcState::kInit);
-  int calls = 0;
-  tracker.set_listener([&](const StateTransitionRecord& rec) {
-    ++calls;
-    EXPECT_EQ(rec.from, CcState::kInit);
-    EXPECT_EQ(rec.to, CcState::kSlowStart);
-  });
-  tracker.transition(TimePoint{}, CcState::kSlowStart);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(StateTrackerUnit, TimeInStateAccounting) {
-  StateTracker tracker(CcState::kInit);
-  tracker.transition(TimePoint{} + seconds(1), CcState::kSlowStart);
-  tracker.transition(TimePoint{} + seconds(3), CcState::kRecovery);
-  const auto fractions = tracker.time_in_state(TimePoint{} + seconds(10));
-  EXPECT_DOUBLE_EQ(fractions[static_cast<std::size_t>(CcState::kInit)], 1.0);
-  EXPECT_DOUBLE_EQ(fractions[static_cast<std::size_t>(CcState::kSlowStart)],
-                   2.0);
-  EXPECT_DOUBLE_EQ(fractions[static_cast<std::size_t>(CcState::kRecovery)],
-                   7.0);
+  EXPECT_EQ(tracker.state(), CcState::kSlowStart);
+  EXPECT_TRUE(rec.events().empty());
 }
 
 }  // namespace

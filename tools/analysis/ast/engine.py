@@ -20,13 +20,15 @@ Frontend selection (`--frontend auto|internal|clang`):
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..engine import (
-    FRONTENDS, AnalysisError, AnalysisResult, Layer, Source,
-    analyze_each_file, run_cli,
+    FRONTENDS, HEADER_SUFFIXES, AnalysisError, AnalysisResult, Layer, Reader,
+    Source, analyze_each_file, run_cli,
 )
+from ..lexer import Token
 from . import clang_frontend
 from . import parser as internal_parser
 from .astmodel import TranslationUnit
@@ -34,24 +36,43 @@ from .rules import AST_RULES
 
 
 def tu_loader(frontend: str, warnings: List[str],
-              ) -> Callable[[Source, Path], TranslationUnit]:
-    """The TU loader of the AST and IPA layers: load(source, root) parses
-    one file through `frontend`. An unknown frontend is a config error."""
+              ) -> Callable[[Source, Reader], TranslationUnit]:
+    """The TU loader of the AST and IPA layers: load(source, reader) parses
+    one file through `frontend`, right after the walk read it. The internal
+    frontend parses the tokens the engine already lexed, and parses each
+    header once per run, whether the walk reaches it first or a .cc file
+    merges it as its sibling first. An unknown frontend is a config
+    error."""
     if frontend not in FRONTENDS:
         raise AnalysisError(f"unknown frontend '{frontend}' "
                             f"(expected one of {', '.join(FRONTENDS)})")
+    headers: Dict[Path, TranslationUnit] = {}
 
-    def load(src: Source, root: Path) -> TranslationUnit:
+    def parse(path: Path, rel: str,
+              tokens: Callable[[], List[Token]]) -> TranslationUnit:
+        if path.suffix not in HEADER_SUFFIXES:
+            return internal_parser.parse_tokens(rel, tokens())
+        key = path.resolve()
+        if key not in headers:
+            headers[key] = internal_parser.parse_tokens(rel, tokens())
+        return dataclasses.replace(headers[key], rel=rel)
+
+    def load(src: Source, reader: Reader) -> TranslationUnit:
         if frontend in ("clang", "auto"):
             ok, detail = clang_frontend.clang_available()
             if ok or frontend == "clang":
                 return clang_frontend.load_tu(
-                    src.path, src.rel, root, warn=warnings.append)
+                    src.path, src.rel, reader.root, warn=warnings.append)
             if not warnings:  # one-line note, not per-file spam
                 warnings.append(
                     f"clang frontend unavailable ({detail}); "
                     "using internal frontend")
-        return internal_parser.load_tu(src.path, src.rel)
+        tu = parse(src.path, src.rel, lambda: src.tokens)
+        sibling = internal_parser.sibling_header(src.path)
+        if sibling is not None:
+            internal_parser.merge_header(tu, parse(
+                sibling, src.rel, lambda: reader.lex(sibling)[1]))
+        return tu
     return load
 
 

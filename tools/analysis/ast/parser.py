@@ -25,6 +25,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from ..engine import HEADER_SUFFIXES
 from ..lexer import Token, tokenize
 from ..rules import (
     _at, _class_bodies, _close_angle, _is, _is_mutex_statement, _matching,
@@ -706,33 +707,44 @@ def parse_tokens(rel: str, tokens: List[Token]) -> TranslationUnit:
                            symbols=table, frontend="internal")
 
 
+def sibling_header(path: Path) -> Optional[Path]:
+    """`foo.h` (or .hpp/.hh) beside `foo.cc`; None for headers and for a
+    .cc file without one."""
+    if path.suffix not in (".cc", ".cpp", ".cxx"):
+        return None
+    for header_suffix in HEADER_SUFFIXES:
+        sibling = path.with_suffix(header_suffix)
+        if sibling.is_file():
+            return sibling
+    return None
+
+
+def merge_header(tu: TranslationUnit, htu: TranslationUnit) -> None:
+    """Merges the sibling header's class/function tables into `tu` so
+    out-of-line methods see their fields. `htu` is left as it is."""
+    for name, cls in htu.symbols.classes.items():
+        mine = tu.symbols.classes.get(name)
+        if mine is None:
+            tu.symbols.classes[name] = cls
+        else:
+            for fname, finfo in cls.fields.items():
+                mine.fields.setdefault(fname, finfo)
+            mine.mutexes.extend(
+                m for m in cls.mutexes if m not in mine.mutexes)
+    for name, fns in htu.symbols.functions.items():
+        tu.symbols.functions.setdefault(name, []).extend(
+            f for f in fns if f.body is None)
+    tu.symbols.unordered_names = frozenset(
+        set(tu.symbols.unordered_names) | set(htu.symbols.unordered_names))
+
+
 def load_tu(fs_path: Path, rel: str) -> TranslationUnit:
-    """Parses one file; when given `foo.cc`, merges the sibling `foo.h`
-    class/function tables so out-of-line methods see their fields."""
+    """Reads and parses one file; when given `foo.cc`, merges the sibling
+    `foo.h` (the clang frontend's starting point)."""
     text = fs_path.read_text(encoding="utf-8", errors="replace")
-    tokens, _comments = tokenize(text)
-    tu = parse_tokens(rel, tokens)
-    if fs_path.suffix in (".cc", ".cpp", ".cxx"):
-        for header_suffix in (".h", ".hpp", ".hh"):
-            sibling = fs_path.with_suffix(header_suffix)
-            if sibling.is_file():
-                htext = sibling.read_text(encoding="utf-8", errors="replace")
-                htokens, _ = tokenize(htext)
-                htu = parse_tokens(rel, htokens)
-                for name, cls in htu.symbols.classes.items():
-                    mine = tu.symbols.classes.get(name)
-                    if mine is None:
-                        tu.symbols.classes[name] = cls
-                    else:
-                        for fname, finfo in cls.fields.items():
-                            mine.fields.setdefault(fname, finfo)
-                        mine.mutexes.extend(
-                            m for m in cls.mutexes if m not in mine.mutexes)
-                for name, fns in htu.symbols.functions.items():
-                    tu.symbols.functions.setdefault(name, []).extend(
-                        f for f in fns if f.body is None)
-                tu.symbols.unordered_names = frozenset(
-                    set(tu.symbols.unordered_names)
-                    | set(htu.symbols.unordered_names))
-                break
+    tu = parse_tokens(rel, tokenize(text)[0])
+    sibling = sibling_header(fs_path)
+    if sibling is not None:
+        htext = sibling.read_text(encoding="utf-8", errors="replace")
+        merge_header(tu, parse_tokens(rel, tokenize(htext)[0]))
     return tu

@@ -1,10 +1,11 @@
 """Analyzer engine: shared by all three layers, plus the token layer.
 
-It owns file discovery, suppressions, the finding fold, reporting and the
-CLI. The AST layer (ast/engine.py) and the IPA layer (ipa/engine.py) plug
-into it and keep only what differs: the token layer checks each file's
-token stream, the AST layer builds a TU per file, and the IPA layer builds
-one whole-program model (and caches its report).
+It owns file discovery, reading and lexing (once per file per run),
+suppressions, the finding fold, reporting and the CLI. The AST layer
+(ast/engine.py) and the IPA layer (ipa/engine.py) plug into it and keep
+only what differs: the token layer checks each file's token stream, the
+AST layer builds a TU per file, and the IPA layer builds one
+whole-program model (and caches its report).
 
 Public surface (re-exported from tools/analysis/__init__.py):
 
@@ -41,7 +42,8 @@ ALL_RULE_NAMES = tuple(r.name for r in ALL_RULES)
 # `--frontend` values of the AST and IPA layers.
 FRONTENDS = ("auto", "internal", "clang")
 
-_SOURCE_SUFFIXES = (".cc", ".cpp", ".cxx", ".h", ".hpp", ".hh")
+HEADER_SUFFIXES = (".h", ".hpp", ".hh")
+_SOURCE_SUFFIXES = (".cc", ".cpp", ".cxx") + HEADER_SUFFIXES
 
 # Directory roots (relative to the repo root) the analyzer will walk; a
 # directory argument outside these is a usage error so nobody "scans" a
@@ -180,11 +182,34 @@ class Source(NamedTuple):
     suppressions: Set[Tuple[int, str]]   # (line, rule) pairs
 
 
-def read_source(rel: str, path: Path) -> Source:
+def _lex(path: Path) -> Tuple[str, List[Token], List[Comment]]:
     text = path.read_text(encoding="utf-8", errors="replace")
-    tokens, comments = tokenize(text)
-    return Source(rel, path, text.splitlines(), tokens, _parse_suppressions(
-        comments, tokens, rel, known_rule_names()))
+    return (text, *tokenize(text))
+
+
+class Reader:
+    """One run's file reads: each file is read and lexed once. A TU loader
+    reads a .cc file's sibling header ahead of the walk, which reaches the
+    header after the .cc; that lex is held until the walk takes it."""
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self._ahead: Dict[Path, Tuple[str, List[Token], List[Comment]]] = {}
+
+    def lex(self, path: Path) -> Tuple[str, List[Token], List[Comment]]:
+        """A read ahead of the walk."""
+        key = path.resolve()
+        if key not in self._ahead:
+            self._ahead[key] = _lex(path)
+        return self._ahead[key]
+
+    def source(self, rel: str, path: Path) -> Source:
+        """The walk's read of `path`."""
+        text, tokens, comments = \
+            self._ahead.pop(path.resolve(), None) or _lex(path)
+        return Source(rel, path, text.splitlines(), tokens,
+                      _parse_suppressions(comments, tokens, rel,
+                                          known_rule_names()))
 
 
 def _iter_source_files(arg: Path) -> Iterable[Path]:
@@ -275,17 +300,18 @@ class Tally:
 
 def analyze_each_file(
     paths: Sequence[str], rules: Sequence,
-    subject: Callable[[Source, Path], object], root: Optional[Path] = None,
+    subject: Callable[[Source, Reader], object], root: Optional[Path] = None,
 ) -> AnalysisResult:
     """The per-file layers: every rule that applies to a file checks
-    `subject(source, root)`, its token stream or its TU."""
+    `subject(source, reader)`, its token stream or its TU."""
     root = (root or repo_root()).resolve()
+    reader = Reader(root)
     tally = Tally()
     scanned = 0
     for rel, path in walk(paths, root):
-        src = read_source(rel, path)
+        src = reader.source(rel, path)
         scanned += 1
-        checked = subject(src, root)
+        checked = subject(src, reader)
         for rule in rules:
             if rule.applies_to(rel):
                 for line, message in tally.run(rule, checked):
@@ -297,7 +323,7 @@ def analyze_paths(
     paths: Sequence[str], root: Optional[Path] = None,
 ) -> AnalysisResult:
     return analyze_each_file(
-        paths, ALL_RULES, lambda src, _root: src.tokens, root)
+        paths, ALL_RULES, lambda src, _reader: src.tokens, root)
 
 
 # --- CLI ---------------------------------------------------------------------

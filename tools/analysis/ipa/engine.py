@@ -9,9 +9,9 @@ before any rule runs, so a finding in file A can be caused by a summary
 computed from file B.
 
 `--cache FILE` persists the full report keyed on a hash of every scanned
-file's content plus the engine version, rule set, and frontend; a warm
-run with identical inputs replays the report without rebuilding the call
-graph (the CI step caches this file keyed on the source hash).
+file's content, the analyzer's own code and the frontend; a warm run with
+identical inputs replays the report without rebuilding the call graph
+(the CI step caches this file keyed on the same sources).
 """
 
 from __future__ import annotations
@@ -19,26 +19,27 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine import (
-    AnalysisResult, Finding, Layer, Tally, read_source, repo_root, run_cli,
+    AnalysisResult, Finding, Layer, Reader, Source, Tally, repo_root, run_cli,
     walk,
 )
 from ..ast.engine import tu_loader
 from .callgraph import Program
 from .rules import IPA_RULES
 
-# Bump to invalidate --cache files when summaries or rules change shape.
-ENGINE_VERSION = "ipa-1"
-
 
 def _cache_key(files: Sequence[Tuple[str, bytes]], frontend: str) -> str:
+    """Hashes the frontend, every scanned file and the analyzer's own code
+    (tools/analysis/**/*.py), so editing a rule, a summary or the engine
+    invalidates the cache like editing a scanned file does."""
     h = hashlib.sha256()
-    h.update(ENGINE_VERSION.encode())
     h.update(frontend.encode())
-    h.update(",".join(r.name for r in IPA_RULES).encode())
-    for rel, blob in sorted(files):
+    package = Path(__file__).resolve().parents[1]
+    code = [(p.relative_to(package).as_posix(), p.read_bytes())
+            for p in package.rglob("*.py")]
+    for rel, blob in sorted(code) + sorted(files):
         h.update(rel.encode())
         h.update(hashlib.sha256(blob).digest())
     return h.hexdigest()
@@ -82,8 +83,13 @@ def analyze_paths_ipa(
                 stats["cache_hit"] = True
             return _result_from_payload(cached.get("payload", {}))
 
-    sources = [read_source(rel, f) for rel, f in files]
-    program = Program([load(src, root) for src in sources])
+    reader = Reader(root)
+    by_rel: Dict[str, Source] = {}
+    tus = []
+    for rel, f in files:
+        src = by_rel[rel] = reader.source(rel, f)
+        tus.append(load(src, reader))
+    program = Program(tus)
     if stats is not None:
         stats["functions"] = len(program.nodes)
         stats["call_edges"] = sum(
@@ -92,7 +98,6 @@ def analyze_paths_ipa(
 
     # Rules run over the whole program; suppressions stay per file. Every
     # hit names a function of a scanned file.
-    by_rel = {src.rel: src for src in sources}
     tally = Tally()
     for rule in IPA_RULES:
         for rel, line, message in tally.run(rule, program):
